@@ -7,8 +7,8 @@ cover, which is independent of the choice of lifts because the kernel of
 the projection is central.
 """
 
-from .homology import StemCover, stem_cover
-from .pcp import Subgroup, center, subgroup_closure, trivial_subgroup
+from .homology import stem_cover
+from .pcp import center, subgroup_closure, trivial_subgroup
 
 
 class ExteriorElement:

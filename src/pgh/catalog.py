@@ -7,7 +7,7 @@ relative order p, so every presentation here has prime relative orders.
 
 import json
 
-from .pcp import PcPresentation, direct_product, trivial_group
+from .pcp import PcPresentation, check_prime, direct_product, trivial_group
 
 
 class FamilyParameterError(ValueError):
@@ -370,6 +370,10 @@ def make(family, p, **params):
     if extra or missing:
         raise FamilyParameterError(
             f"family {family} takes parameters {wanted}, got {sorted(params)}")
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise FamilyParameterError(str(exc)) from exc
     if family == "HOMOCYCLIC":
         return homocyclic(p, params["m"], params["rank"])
     if family == "MIN_NONAB_A":
@@ -450,6 +454,19 @@ def _parse_word(raw, where):
     return tuple(word)
 
 
+def _integer_fields(doc, keys):
+    for key in keys:
+        if key not in doc or not isinstance(doc[key], int):
+            raise PresentationFormatError(f"missing or non-integer field {key!r}")
+
+
+def _object_field(doc, key):
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise PresentationFormatError(f"field {key!r} must be an object")
+    return value
+
+
 def parse(text):
     """Parse the JSON presentation format (or family shorthand)."""
     try:
@@ -459,21 +476,22 @@ def parse(text):
     if not isinstance(doc, dict):
         raise PresentationFormatError("top-level value must be an object")
     if "family" in doc:
-        known = {"family", "p"} | set(FAMILY_PARAMS.get(str(doc.get("family", "")).upper(), ()))
+        if not isinstance(doc["family"], str):
+            raise PresentationFormatError("field 'family' must be a string")
+        known = {"family", "p"} | set(FAMILY_PARAMS.get(doc["family"].upper(), ()))
         extra = set(doc) - known
         if extra:
             raise PresentationFormatError(f"unknown keys {sorted(extra)} in family shorthand")
-        if "p" not in doc:
-            raise PresentationFormatError("family shorthand requires \"p\"")
         params = {k: v for k, v in doc.items() if k not in ("family", "p")}
+        _integer_fields(doc, ["p", *params])
         return make(doc["family"], doc["p"], **params)
-    for key in ("p", "ngens"):
-        if key not in doc or not isinstance(doc[key], int):
-            raise PresentationFormatError(f"missing or non-integer field {key!r}")
+    _integer_fields(doc, ("p", "ngens"))
     p = doc["p"]
     ngens = doc["ngens"]
+    if ngens < 0:
+        raise PresentationFormatError(f"ngens {ngens} is negative")
     power = [()] * ngens
-    for key, raw in (doc.get("power") or {}).items():
+    for key, raw in _object_field(doc, "power").items():
         try:
             i = int(key) - 1
         except ValueError:
@@ -482,7 +500,7 @@ def parse(text):
             raise PresentationFormatError(f"power key {key!r} out of range")
         power[i] = _parse_word(raw, f"power[{key}]")
     comm = {}
-    for key, raw in (doc.get("comm") or {}).items():
+    for key, raw in _object_field(doc, "comm").items():
         try:
             j, i = (int(x) - 1 for x in key.split(","))
         except ValueError:
@@ -491,8 +509,14 @@ def parse(text):
             raise PresentationFormatError(f"comm key {key!r} must have j > i >= 1")
         comm[(j, i)] = _parse_word(raw, f"comm[{key}]")
     labels = {}
-    for key, lab in (doc.get("labels") or {}).items():
-        labels[int(key) - 1] = str(lab)
+    for key, lab in _object_field(doc, "labels").items():
+        try:
+            i = int(key) - 1
+        except ValueError:
+            raise PresentationFormatError(f"labels key {key!r} is not an index")
+        if not (0 <= i < ngens):
+            raise PresentationFormatError(f"labels key {key!r} out of range")
+        labels[i] = str(lab)
     try:
         return PcPresentation(p, ngens, power, comm, labels)
     except ValueError as exc:

@@ -9,17 +9,17 @@ Exit codes: 0 success, 1 check failure, 2 parse or parameter error,
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import catalog, verify
 from .capability import (epicenter, epicenter_crosscheck, exterior_pair,
                          is_capable)
 from .catalog import FamilyParameterError, PresentationFormatError
-from .homology import (abelian_multiplier, be_sequence, schur_multiplier,
-                       stem_cover, tails_system, thm25_check)
-from .pcp import (abelian_invariants, center, derived_subgroup,
-                  full_subgroup, structure_stats, subgroup_closure)
+from .homology import (abelian_multiplier, be_sequence,
+                       central_quotient_section, schur_multiplier, stem_cover,
+                       thm25_check)
+from .pcp import (AbelianType, derived_subgroup, direct_product, log_p,
+                  structure_stats)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -206,12 +206,12 @@ def _suite_paper(p, deep, jobs):
     rows = []
     for name, P in _catalog_groups(p, deep):
         rep = verify.report(P)
-        for check in verify.check_attainer_conditions(P, rep):
+        for check in verify.check_attainer_conditions(P):
             if check.applicable:
                 rows.append((f"condition[{name}:{check.name}]", check.passed,
                              check.detail))
         if rep.attains_rai and rep.k >= 2:
-            qa = verify.check_quotient_attainment(P, rep)
+            qa = verify.check_quotient_attainment(P)
             rows.append((f"quotient_attainment[{name}]", qa.all_ok,
                          f"central={len(qa.central_results)} "
                          f"gamma={len(qa.gamma_results)}"))
@@ -219,14 +219,13 @@ def _suite_paper(p, deep, jobs):
 
 
 def _suite_homology(p, deep, jobs):
-    from .pcp import AbelianType, direct_product
     rows = []
     samples = [(p ** 2, p), (p, p, p), (p ** 3, p ** 2), (p ** 2, p ** 2, p)]
     for divisors in samples:
         A = AbelianType.from_divisors(divisors)
-        pres = catalog.cyclic(p, _exp(divisors[0], p))
+        pres = catalog.cyclic(p, log_p(divisors[0], p))
         for d in divisors[1:]:
-            pres = direct_product(pres, catalog.cyclic(p, _exp(d, p)))
+            pres = direct_product(pres, catalog.cyclic(p, log_p(d, p)))
         got = schur_multiplier(pres)
         want = abelian_multiplier(A)
         rows.append((f"abelian_oracle[{'x'.join(map(str, divisors))}]",
@@ -243,26 +242,11 @@ def _suite_homology(p, deep, jobs):
             rows.append((f"exact_sequence[{name}]", be.ok(),
                          f"kernel={be.kernel_order}"))
         if st.nilpotency_class <= 3 and st.k >= 1:
-            if _central_quotient_order(P) <= 27 or deep:
+            if central_quotient_section(P).type.order <= 27 or deep:
                 w = thm25_check(P)
                 rows.append((f"wedge_inequality[{name}]", w.holds,
                              f"{w.lhs_exponent}<={w.rhs_exponent}"))
     return rows
-
-
-def _exp(d, p):
-    e = 0
-    while d > 1:
-        d //= p
-        e += 1
-    return e
-
-
-def _central_quotient_order(P):
-    z = center(P)
-    der = derived_subgroup(P)
-    gz = subgroup_closure(P, list(der.basis) + list(z.basis))
-    return P.order // gz.order
 
 
 def _suite_capability(p, deep, jobs):
@@ -382,7 +366,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    os.environ.get("PGH_SEED")  # reserved; the suites are deterministic
     out = sys.stdout
     try:
         return args.fn(args, out)

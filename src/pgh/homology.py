@@ -11,11 +11,11 @@ of the cokernel of the resulting integer relation matrix.
 import math
 from dataclasses import dataclass
 
-from .pcp import (AbelianType, PcPresentation, Subgroup, abelian_invariants,
-                  center, derived_subgroup, lower_central_series,
-                  subgroup_closure, trivial_subgroup, full_subgroup,
-                  is_normal)
-from .snf import smith_normal_form, unimodular_inverse
+from .pcp import (AbelianSection, AbelianType, PcPresentation, Subgroup,
+                  abelian_invariants, center, derived_subgroup, full_subgroup,
+                  log_p, lower_central_series, per_presentation,
+                  structure_stats, subgroup_closure, trivial_subgroup)
+from .snf import smith_normal_form
 
 
 # -- tailed collection ------------------------------------------------
@@ -124,11 +124,11 @@ class TailsSystem:
     """Relation matrix of the tailed covering presentation, with its SNF.
 
     The cokernel of the relation matrix is Z^N x M(G); the free rank is
-    asserted equal to the generator count N.
+    asserted equal to the generator count N.  It holds no reference to
+    the presentation that stores it, so storing it creates no cycle.
     """
 
-    def __init__(self, base, tail_count, relation_matrix, snf):
-        self.base = base
+    def __init__(self, tail_count, relation_matrix, snf):
         self.tail_count = tail_count
         self.relation_matrix = relation_matrix
         self.snf = snf
@@ -138,6 +138,7 @@ class TailsSystem:
         return AbelianType.from_divisors(self.snf.cokernel_torsion())
 
 
+@per_presentation
 def tails_system(P):
     """Assemble and reduce the tails relation matrix for a consistent P."""
     ops = _TailedOps(P)
@@ -175,7 +176,7 @@ def tails_system(P):
     if snf.cokernel_free_rank() != n:
         raise AssertionError(
             f"tails cokernel free rank {snf.cokernel_free_rank()} != {n}")
-    return TailsSystem(P, ops.ntails, rows, snf)
+    return TailsSystem(ops.ntails, rows, snf)
 
 
 def schur_multiplier(P):
@@ -234,6 +235,7 @@ def _base_p_word(value, chain, p):
     return word
 
 
+@per_presentation
 def stem_cover(P, variant=0):
     """Build a stem cover from the tails data.
 
@@ -256,17 +258,9 @@ def stem_cover(P, variant=0):
     # new central generators: one refined chain per torsion coordinate
     chains = []
     start = n
-    exps = []
     for _, d in torsion:
-        e = 0
-        dd = d
-        while dd > 1:
-            if dd % p:
-                raise AssertionError("torsion divisor is not a p-power")
-            dd //= p
-            e += 1
+        e = log_p(d, p)
         chains.append(list(range(start, start + e)))
-        exps.append(e)
         start += e
     total = start
     V = snf.V
@@ -322,10 +316,9 @@ def stem_cover(P, variant=0):
     return cover
 
 
-def exterior_square_order(P, cover=None):
+def exterior_square_order(P):
     """|G ^ G| = |M(G)| * |G'|; cross-checked against |E'| of a stem cover."""
-    if cover is None:
-        cover = stem_cover(P)
+    cover = stem_cover(P)
     m_order = cover.M.order
     k_order = derived_subgroup(P).order
     e_derived = derived_subgroup(cover.E).order
@@ -334,65 +327,7 @@ def exterior_square_order(P, cover=None):
     return e_derived
 
 
-# -- abelian sections and tensor images -------------------------------
-
-
-class AbelianSection:
-    """Coordinates in an abelian section N/M of G, via Smith normal form.
-
-    Provides the invariant divisors, representatives generating the
-    section, and exact coordinates of arbitrary elements of N.
-    """
-
-    def __init__(self, P, N, M=None):
-        if M is None:
-            M = trivial_subgroup(P)
-        self.P = P
-        self.N = N
-        self.M = M
-        m = len(N.basis)
-        rows = []
-        for i, b in enumerate(N.basis):
-            row = [0] * m
-            row[i] = P.p
-            for j, c in enumerate(N.coords(P.pow(b, P.p))):
-                row[j] -= c
-            rows.append(row)
-        for b in M.basis:
-            rows.append(list(N.coords(b)))
-        snf = smith_normal_form(rows, ncols=m)
-        if snf.cokernel_free_rank():
-            raise AssertionError("abelian section has free rank")
-        self.V = snf.V
-        self.Vinv = unimodular_inverse(snf.V) if m else []
-        self.torsion = [(idx, d) for idx, d in enumerate(snf.diagonal) if d > 1]
-        self.divisors = tuple(d for _, d in self.torsion)
-
-    @property
-    def type(self):
-        return AbelianType.from_divisors(self.divisors)
-
-    def rank(self):
-        return len(self.divisors)
-
-    def coords(self, x):
-        """Coordinates of x*M in the invariant decomposition."""
-        c = self.N.coords(x)
-        z = [sum(c[i] * self.V[i][j] for i in range(len(c)))
-             for j in range(len(c))]
-        return tuple(z[idx] % d for idx, d in self.torsion)
-
-    def representatives(self):
-        """One element of N per invariant generator of the section."""
-        reps = []
-        for idx, _ in self.torsion:
-            c = self.Vinv[idx]
-            x = self.P.identity()
-            for b, e in zip(self.N.basis, c):
-                if e:
-                    x = self.P.mult(x, self.P.pow(b, e))
-            reps.append(x)
-        return reps
+# -- tensor images ---------------------------------------------------
 
 
 class TensorGroup:
@@ -414,9 +349,6 @@ class TensorGroup:
             result *= g
         return result
 
-    def zero(self):
-        return (0,) * len(self.moduli)
-
     def simple(self, ca, cb):
         """The simple tensor of elements with the given section coordinates."""
         nb = len(self.B.divisors)
@@ -432,9 +364,6 @@ class TensorGroup:
 
     def add(self, u, v):
         return tuple((a + b) % m for a, b, m in zip(u, v, self.moduli))
-
-    def neg(self, u):
-        return tuple((-a) % m for a, m in zip(u, self.moduli))
 
     def subgroup_order(self, vectors):
         """Order of the subgroup generated by the given vectors."""
@@ -474,7 +403,7 @@ class ExactSequenceReport:
                 and self.power_in_kernel)
 
 
-def be_sequence(P, cover=None):
+def be_sequence(P):
     """Evaluate the map g: G' (x) G/G' -> M(G) and its exactness data.
 
     g(x (x) zG') = [x^, z^] computed in a stem cover; requires class
@@ -483,8 +412,7 @@ def be_sequence(P, cover=None):
     series = lower_central_series(P)
     if len(series) - 1 != 2:
         raise ValueError("the exact-sequence map requires class exactly 2")
-    if cover is None:
-        cover = stem_cover(P)
+    cover = stem_cover(P)
     E = cover.E
     derived = series[1]
     sa = AbelianSection(P, derived)
@@ -546,7 +474,7 @@ def be_sequence(P, cover=None):
 # -- trilinear and quadrilinear commutator maps -----------------------
 
 
-def _central_quotient_section(P):
+def central_quotient_section(P):
     """(G/Z(G))^ab = G / G'Z(G) as an abelian section."""
     z = center(P)
     derived = derived_subgroup(P)
@@ -559,7 +487,7 @@ def psi2_image(P):
     series = lower_central_series(P)
     derived = series[1]
     gamma3 = series[2] if len(series) > 2 else trivial_subgroup(P)
-    src = _central_quotient_section(P)
+    src = central_quotient_section(P)
     ta = AbelianSection(P, derived, gamma3)
     tb = AbelianSection(P, full_subgroup(P), derived)
     T = TensorGroup(ta, tb)
@@ -583,7 +511,7 @@ def psi3_image(P):
         return 1
     gamma3 = series[2]
     gamma4 = series[3] if len(series) > 3 else trivial_subgroup(P)
-    src = _central_quotient_section(P)
+    src = central_quotient_section(P)
     ta = AbelianSection(P, gamma3, gamma4)
     T = TensorGroup(ta, src)
     reps = src.representatives()
@@ -609,35 +537,16 @@ class WedgeInequalityReport:
     holds: bool
 
 
-def _log_p(value, p):
-    e = 0
-    while value > 1:
-        if value % p:
-            raise ValueError(f"{value} is not a power of {p}")
-        value //= p
-        e += 1
-    return e
-
-
-def thm25_check(P, cover=None):
+def thm25_check(P):
     """The outer inequality |G^G| |Im2| |Im3| <= |M(G/G')| p^(kd)."""
-    series = lower_central_series(P)
-    c = len(series) - 1
-    if c > 3:
+    st = structure_stats(P)
+    if st.nilpotency_class > 3:
         raise ValueError("inequality check implemented for class <= 3 only")
     p = P.p
-    wedge = exterior_square_order(P, cover=cover)
-    im2 = psi2_image(P)
-    im3 = psi3_image(P)
-    derived = series[1]
-    k = derived.log_order
-    from .pcp import frattini_subgroup
-    d = P.ngens - frattini_subgroup(P).log_order
-    qtype = abelian_invariants(P, full_subgroup(P), derived)
-    rhs = abelian_multiplier(qtype).order * p ** (k * d)
-    lhs = wedge * im2 * im3
+    lhs = exterior_square_order(P) * psi2_image(P) * psi3_image(P)
+    rhs = abelian_multiplier(st.quotient_type).order * p ** (st.k * st.d)
     return WedgeInequalityReport(
-        lhs_exponent=_log_p(lhs, p),
-        rhs_exponent=_log_p(rhs, p),
+        lhs_exponent=log_p(lhs, p),
+        rhs_exponent=log_p(rhs, p),
         holds=lhs <= rhs,
     )

@@ -9,7 +9,11 @@ makes collection from the left terminate.
 Elements are exponent tuples (e_1, ..., e_N) with 0 <= e_i < p.
 """
 
+import functools
+import inspect
 from dataclasses import dataclass, field
+
+from .snf import smith_normal_form, unimodular_inverse
 
 Word = tuple  # tuple of (generator_index, exponent) pairs, 0-based indices
 
@@ -29,13 +33,65 @@ def _validate_word(word, low, ngens, p):
         prev = g
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson-Webster 2017); the first 12 bases reach only 3.2e23.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+def check_prime(p):
+    """Raise ValueError unless p is a prime below _PRIME_TEST_LIMIT."""
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError("p is too large: the primality test is exact only "
+                         f"below {_PRIME_TEST_LIMIT}")
+    if p < 2 or not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _is_prime(n):
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def log_p(value, p):
+    """The exponent e with p^e == value; raises ValueError otherwise."""
+    e = 0
+    while value > 1:
+        if value % p:
+            raise ValueError(f"{value} is not a power of {p}")
+        value //= p
+        e += 1
+    return e
+
+
 class PcPresentation:
-    """A consistent polycyclic presentation with prime relative orders."""
+    """A consistent polycyclic presentation with prime relative orders.
+
+    A presentation is never mutated after construction; the invariants
+    computed by `per_presentation` functions are stored on it.
+    """
 
     def __init__(self, p, ngens, power=None, comm=None, labels=None,
                  check_consistent=True):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+        check_prime(p)
+        if ngens < 0:
+            raise ValueError(f"generator count {ngens} is negative")
         self.p = p
         self.ngens = ngens
         power = list(power or [])
@@ -55,6 +111,7 @@ class PcPresentation:
         for (j, i), w in self.comm.items():
             _validate_word(w, j, ngens, p)
         self._identity = (0,) * ngens
+        self._memo = {}
         if check_consistent and not self.is_consistent():
             raise ValueError("presentation fails the consistency check")
 
@@ -249,7 +306,27 @@ class PcPresentation:
         return self.word_str(tuple((i, e) for i, e in enumerate(x) if e))
 
 
-TRIVIAL_WORD = ()
+def per_presentation(fn):
+    """Compute `fn(P, ...)` once per presentation and arguments.
+
+    The result is stored in a dict on P, never in a module-level cache,
+    so it lives exactly as long as P.  Arguments are bound to `fn`'s
+    signature with defaults filled in, so `fn(P)` and `fn(P, x=default)`
+    share one entry.  Keys hold the function's name rather than the
+    function, so the dict pickles with P.
+    """
+    signature = inspect.signature(fn)
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memoized(P, *args, **kwargs):
+        bound = signature.bind(P, *args, **kwargs)
+        bound.apply_defaults()
+        key = (name,) + bound.args[1:]
+        if key not in P._memo:
+            P._memo[key] = fn(P, *args, **kwargs)
+        return P._memo[key]
+    return memoized
 
 
 def trivial_group(p=3):
@@ -293,19 +370,6 @@ class AbelianType:
     def is_homocyclic(self):
         return len(set(self.divisors)) <= 1
 
-    def exponents_of(self, p):
-        """The divisors as powers of p; raises if any is not a p-power."""
-        out = []
-        for d in self.divisors:
-            e = 0
-            while d > 1:
-                if d % p:
-                    raise ValueError(f"divisor {d} is not a power of {p}")
-                d //= p
-                e += 1
-            out.append(e)
-        return out
-
     def __str__(self):
         if not self.divisors:
             return "1"
@@ -335,7 +399,6 @@ class Subgroup:
 
     def sift(self, x):
         """Reduce x against the basis; the residue is trivial iff x is a member."""
-        p = self.amb.p
         for b in self.basis:
             lead = _leading(b)
             c = x[lead]
@@ -447,6 +510,7 @@ def full_subgroup(P):
     return Subgroup(P, P.gens())
 
 
+@per_presentation
 def derived_subgroup(P):
     gens = []
     for j in range(1, P.ngens):
@@ -455,8 +519,9 @@ def derived_subgroup(P):
     return subgroup_closure(P, gens, normal=True)
 
 
+@per_presentation
 def lower_central_series(P):
-    """[G = gamma_1, gamma_2, ...] down to the trivial subgroup."""
+    """(G = gamma_1, gamma_2, ...) down to the trivial subgroup."""
     series = [full_subgroup(P)]
     current = derived_subgroup(P)
     series.append(current)
@@ -467,9 +532,10 @@ def lower_central_series(P):
             raise AssertionError("lower central series does not terminate")
         series.append(nxt)
         current = nxt
-    return series
+    return tuple(series)
 
 
+@per_presentation
 def frattini_subgroup(P):
     gens = [P.pow(g, P.p) for g in P.gens()]
     gens += list(derived_subgroup(P).basis)
@@ -482,6 +548,7 @@ def nilpotency_class(P):
     return len(lower_central_series(P)) - 1
 
 
+@per_presentation
 def center(P):
     """The center, by induction along the chain of prime central layers.
 
@@ -554,10 +621,6 @@ def is_normal(P, N):
                for b in N.basis for g in P.gens())
 
 
-def centralizes(P, x, sub):
-    return all(P.commutator(x, b) == P.identity() for b in sub.basis)
-
-
 # -- quotients -------------------------------------------------------
 
 
@@ -576,9 +639,6 @@ class QuotientMap:
         return tuple(rep[i] for i in self.keep)
 
     def lift(self, y):
-        x = [0] * self.source.ngens
-        for i, e in zip(self.keep, y):
-            x[i] = e
         word = [(i, e) for i, e in zip(self.keep, y) if e]
         return self.source.collect(word)
 
@@ -610,37 +670,76 @@ def quotient(P, N):
     return Q, QuotientMap(P, Q, N, keep)
 
 
+# -- abelian sections ------------------------------------------------
+
+
+class AbelianSection:
+    """Coordinates in an abelian section N/M of G, via Smith normal form.
+
+    Provides the invariant divisors, representatives generating the
+    section, and exact coordinates of arbitrary elements of N.
+    """
+
+    def __init__(self, P, N, M=None):
+        if M is None:
+            M = trivial_subgroup(P)
+        if not M.issubset(N):
+            raise ValueError("M is not contained in N")
+        for s, bs in enumerate(N.basis):
+            for bt in N.basis[s + 1:]:
+                if not M.contains(P.commutator(bs, bt)):
+                    raise ValueError("section N/M is not abelian")
+        self.P = P
+        self.N = N
+        self.M = M
+        m = len(N.basis)
+        rows = []
+        for i, b in enumerate(N.basis):
+            row = [0] * m
+            row[i] = P.p
+            for j, c in enumerate(N.coords(P.pow(b, P.p))):
+                row[j] -= c
+            rows.append(row)
+        for b in M.basis:
+            rows.append(list(N.coords(b)))
+        snf = smith_normal_form(rows, ncols=m)
+        if snf.cokernel_free_rank():
+            raise AssertionError("abelian section has unexpected free rank")
+        self.V = snf.V
+        self.torsion = [(idx, d) for idx, d in enumerate(snf.diagonal) if d > 1]
+        self.divisors = tuple(d for _, d in self.torsion)
+        assert self.type.order * M.order == N.order, "section order mismatch"
+
+    @property
+    def type(self):
+        return AbelianType.from_divisors(self.divisors)
+
+    @functools.cached_property
+    def Vinv(self):
+        return unimodular_inverse(self.V) if self.V else []
+
+    def coords(self, x):
+        """Coordinates of x*M in the invariant decomposition."""
+        c = self.N.coords(x)
+        z = [sum(c[i] * self.V[i][j] for i in range(len(c)))
+             for j in range(len(c))]
+        return tuple(z[idx] % d for idx, d in self.torsion)
+
+    def representatives(self):
+        """One element of N per invariant generator of the section."""
+        reps = []
+        for idx, _ in self.torsion:
+            x = self.P.identity()
+            for b, e in zip(self.N.basis, self.Vinv[idx]):
+                if e:
+                    x = self.P.mult(x, self.P.pow(b, e))
+            reps.append(x)
+        return reps
+
+
 def abelian_invariants(P, N, M=None):
     """Elementary divisors of the abelian section N/M."""
-    from .snf import smith_normal_form
-
-    if M is None:
-        M = trivial_subgroup(P)
-    if not M.issubset(N):
-        raise ValueError("M is not contained in N")
-    for s, bs in enumerate(N.basis):
-        for bt in N.basis[s + 1:]:
-            if not M.contains(P.commutator(bs, bt)):
-                raise ValueError("section N/M is not abelian")
-    m = len(N.basis)
-    if m == 0:
-        return AbelianType()
-    rows = []
-    for i, b in enumerate(N.basis):
-        row = [0] * m
-        row[i] = P.p
-        for j, c in enumerate(N.coords(P.pow(b, P.p))):
-            row[j] -= c
-        rows.append(row)
-    for b in M.basis:
-        rows.append([c for c in N.coords(b)])
-    res = smith_normal_form(rows, ncols=m)
-    divisors = [d for d in res.diagonal if d > 1]
-    if res.cokernel_free_rank():
-        raise AssertionError("abelian section has unexpected free rank")
-    at = AbelianType.from_divisors(divisors)
-    assert at.order * M.order == N.order, "section order mismatch"
-    return at
+    return AbelianSection(P, N, M).type
 
 
 def abelianization_type(P):
@@ -661,6 +760,7 @@ class StructureStats:
     homocyclic: bool
 
 
+@per_presentation
 def structure_stats(P):
     derived = derived_subgroup(P)
     frat = frattini_subgroup(P)

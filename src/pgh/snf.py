@@ -15,7 +15,6 @@ def identity_matrix(n):
 def mat_mul(a, b):
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols_b = len(b[0])
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -47,7 +46,7 @@ class SmithResult:
         return [d for d in self.diagonal if d > 1]
 
 
-def smith_normal_form(matrix, ncols=None, check=True):
+def smith_normal_form(matrix, ncols=None):
     """Compute the Smith normal form of an integer matrix.
 
     `matrix` is a list of rows; `ncols` must be given when the matrix has
@@ -171,13 +170,12 @@ def smith_normal_form(matrix, ncols=None, check=True):
     for x, y in zip(diagonal, diagonal[1:]):
         if y % x:
             raise AssertionError("divisibility chain violated")
-    if check:
-        d = mat_mul(mat_mul(u, [list(r) for r in matrix]), v)
-        for i in range(nrows):
-            for j in range(ncols):
-                expected = diagonal[i] if i == j and i < len(diagonal) else 0
-                if d[i][j] != expected:
-                    raise AssertionError("smith normal form self-check failed")
+    d = mat_mul(mat_mul(u, [list(r) for r in matrix]), v)
+    for i in range(nrows):
+        for j in range(ncols):
+            expected = diagonal[i] if i == j and i < len(diagonal) else 0
+            if d[i][j] != expected:
+                raise AssertionError("smith normal form self-check failed")
     return SmithResult(nrows, ncols, diagonal, u, v)
 
 

@@ -7,43 +7,44 @@ order p^n with |G'| = p^k and d generators.  Attainment comparisons are
 done in doubled exponents so that odd products never force rounding.
 """
 
+import concurrent.futures
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .capability import epicenter, is_capable
-from .homology import (abelian_multiplier, be_sequence, psi2_image,
-                       schur_multiplier, stem_cover, thm25_check)
+from .capability import is_capable
+from .homology import schur_multiplier, stem_cover
 from .pcp import (abelian_invariants, center, derived_subgroup,
-                  full_subgroup, lower_central_series, quotient,
+                  frattini_subgroup, full_subgroup, log_p,
+                  lower_central_series, per_presentation, quotient,
                   structure_stats, subgroup_closure, trivial_subgroup)
 
 
-def bounds(n, k, d):
-    """The three multiplier bound exponents for given (n, k, d).
+def _doubled(n, k, d):
+    """(green, niroomand, rai) bound exponents, doubled to stay integral.
 
     green = n(n-1)/2; the class-independent refinement is
     (n-k-1)(n+k-2)/2 + 1; the generator-sensitive refinement is
-    (d-1)(n+k-2)/2 + 1.  All three are asserted integral here; callers
-    that must handle half-integral cases use the doubled forms below.
+    (d-1)(n+k-2)/2 + 1.
     """
-    if n < 1 or not (0 <= k < n) or not (1 <= d <= n - k):
-        raise ValueError(f"bad parameters (n={n}, k={k}, d={d})")
-    green2 = n * (n - 1)
-    nir2 = (n - k - 1) * (n + k - 2) + 2
-    rai2 = (d - 1) * (n + k - 2) + 2
-    for name, v in (("green", green2), ("niroomand", nir2), ("rai", rai2)):
-        if v % 2:
-            raise AssertionError(f"{name} exponent is not integral at "
-                                 f"(n={n}, k={k}, d={d})")
-    return {"green": green2 // 2, "niroomand": nir2 // 2, "rai": rai2 // 2}
-
-
-def _doubled(n, k, d):
-    """(green, niroomand, rai) bound exponents, doubled to stay integral."""
     return (n * (n - 1),
             (n - k - 1) * (n + k - 2) + 2,
             (d - 1) * (n + k - 2) + 2)
+
+
+def bounds(n, k, d):
+    """The three multiplier bound exponents for given (n, k, d), each
+    asserted integral."""
+    if n < 1 or not (0 <= k < n) or not (1 <= d <= n - k):
+        raise ValueError(f"bad parameters (n={n}, k={k}, d={d})")
+    out = {}
+    for name, v in zip(("green", "niroomand", "rai"), _doubled(n, k, d)):
+        if v % 2:
+            raise AssertionError(f"{name} exponent is not integral at "
+                                 f"(n={n}, k={k}, d={d})")
+        out[name] = v // 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,10 @@ class GroupReport:
         return doc
 
 
-def _fingerprint(P, mult=None):
+def _fingerprint(P):
     st = structure_stats(P)
     ztype = abelian_invariants(P, center(P))
-    if mult is None:
-        mult = schur_multiplier(P)
+    mult = schur_multiplier(P)
     return (P.p, P.ngens, st.k, st.d, st.nilpotency_class,
             st.quotient_type.divisors, ztype.divisors, mult.divisors)
 
@@ -119,10 +119,10 @@ def _family_candidates(P, st):
     return out
 
 
-def family_match(P, mult=None):
+def family_match(P):
     """Fingerprint match of P against the classified attainer families."""
     st = structure_stats(P)
-    fp = _fingerprint(P, mult)
+    fp = _fingerprint(P)
     for tag, build in _family_candidates(P, st):
         try:
             candidate = build()
@@ -133,18 +133,13 @@ def family_match(P, mult=None):
     return None
 
 
-def report(P, cover=None):
+@per_presentation
+def report(P):
     """Full attainment report for a consistent presentation."""
     st = structure_stats(P)
-    if cover is None:
-        cover = stem_cover(P)
-    mult = cover.multiplier_type()
+    mult = schur_multiplier(P)
     p = P.p
-    mexp = 0
-    order = mult.order
-    while order > 1:
-        order //= p
-        mexp += 1
+    mexp = log_p(mult.order, p)
     n, k, d = st.n, st.k, st.d
     green2, nir2, rai2 = _doubled(n, k, max(d, 1))
     nonabelian = k >= 1
@@ -160,16 +155,14 @@ def report(P, cover=None):
         t=green2 // 2 - mexp,
         attains_rai=nonabelian and 2 * mexp == rai2,
         attains_niroomand=nonabelian and 2 * mexp == nir2,
-        capable=is_capable(cover),
-        family_match=family_match(P, mult),
+        capable=is_capable(stem_cover(P)),
+        family_match=family_match(P),
     )
 
 
 def report_record(P, group_desc):
     """The full JSON-shaped record: report fields plus the check list."""
-    rep = report(P)
-    checks = check_attainer_conditions(P, rep)
-    return rep.to_json_dict(group_desc, checks)
+    return report(P).to_json_dict(group_desc, check_attainer_conditions(P))
 
 
 # -- named structural checks ------------------------------------------
@@ -187,15 +180,14 @@ class CheckResult:
                 "applicable": self.applicable}
 
 
-def check_attainer_conditions(P, rep=None):
+def check_attainer_conditions(P):
     """The battery of structural conditions tied to bound attainment.
 
     Conditions that require attainment (or class 2, etc.) are reported
     as applicable=False when the hypothesis fails; an inapplicable check
     always passes.
     """
-    if rep is None:
-        rep = report(P)
+    rep = report(P)
     out = []
     cls = rep.nilpotency_class
     attains = rep.attains_rai
@@ -217,7 +209,7 @@ def check_attainer_conditions(P, rep=None):
 
     if cls == 2:
         z = center(P)
-        gq = abelian_invariants(*_central_quotient(P, z))
+        gq = abelian_invariants(P, full_subgroup(P), z)
         dtype = abelian_invariants(P, derived_subgroup(P))
         add("center_quotient_exponent", True, gq.exponent == dtype.exponent,
             f"e(G/Z) = {gq.exponent}, e(G') = {dtype.exponent}")
@@ -242,14 +234,9 @@ def check_attainer_conditions(P, rep=None):
     return out
 
 
-def _central_quotient(P, z):
-    return P, full_subgroup(P), z
-
-
 def _minimal_generators_of_quotient(P, N):
     """d(G/N) = log_p of (G/N) / Phi(G/N)."""
     Q, _ = quotient(P, N)
-    from .pcp import frattini_subgroup
     return Q.ngens - frattini_subgroup(Q).log_order
 
 
@@ -276,11 +263,10 @@ def _central_derived_elementary_layer(P):
     return subgroup_closure(P, members)
 
 
-def check_quotient_attainment(P, rep=None):
+def check_quotient_attainment(P):
     """Attainment of the reduced bound by G/K for every central K of
     order p inside G', and by every lower-central-series quotient."""
-    if rep is None:
-        rep = report(P)
+    rep = report(P)
     if not rep.attains_rai or rep.k < 2:
         raise ValueError("requires an attainer with |G'| >= p^2")
     p = P.p
@@ -290,7 +276,6 @@ def check_quotient_attainment(P, rep=None):
     central = []
     # one subgroup of order p per projective point of the layer
     seen = set()
-    import itertools
     for coords in itertools.product(range(p), repeat=r):
         if not any(coords):
             continue
@@ -304,8 +289,9 @@ def check_quotient_attainment(P, rep=None):
             continue
         seen.add(key)
         Q, _ = quotient(P, K)
-        actual2 = 2 * _log_p(schur_multiplier(Q).order, p)
-        expected2 = (d - 1) * (n + k - 4) + 2
+        actual2 = 2 * log_p(schur_multiplier(Q).order, p)
+        # |G/K| = p^(n-1) and |(G/K)'| = p^(k-1)
+        expected2 = _doubled(n - 1, k - 1, d)[2]
         central.append((P.element_str(x), expected2, actual2,
                         actual2 == expected2))
     gamma = []
@@ -316,16 +302,6 @@ def check_quotient_attainment(P, rep=None):
         gamma.append((i, report(Q).attains_rai))
     ok = all(c[3] for c in central) and all(g[1] for g in gamma)
     return QuotientAttainmentReport(tuple(central), tuple(gamma), ok)
-
-
-def _log_p(value, p):
-    e = 0
-    while value > 1:
-        if value % p:
-            raise ValueError(f"{value} is not a power of {p}")
-        value //= p
-        e += 1
-    return e
 
 
 # -- classification sweep ---------------------------------------------
@@ -388,8 +364,7 @@ def sweep_classification(p, max_exponent=4, deep=False, jobs=1):
     """
     groups = sweep_universe(p, max_exponent, deep)
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             reports = list(ex.map(report, [P for _, P in groups]))
         entries = [SweepEntry(name, r)
                    for (name, _), r in zip(groups, reports)]

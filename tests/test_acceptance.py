@@ -147,7 +147,7 @@ def test_criterion_09_property_suites():
     for name, P in _catalog_class2() + [("G6", catalog.g6())]:
         rep = verify.report(P)
         assert rep.t >= 0, name
-        for check in verify.check_attainer_conditions(P, rep):
+        for check in verify.check_attainer_conditions(P):
             assert check.passed, (name, check.name, check.detail)
     # the exterior identities of the non-capable minimal family
     for m in (2, 3):

@@ -54,12 +54,13 @@ def declared_scripts():
     return scripts
 
 
-def run_module(*argv, cwd):
+def run_module(*argv, cwd, timeout=None):
     """Run `python -m pgh` as a separate process on the imported package."""
     path = [str(Path(pgh.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, "-m", "pgh", *argv],
-                          capture_output=True, env=env, cwd=cwd)
+                          capture_output=True, env=env, cwd=cwd,
+                          timeout=timeout)
 
 
 def test_group_family():
@@ -170,6 +171,37 @@ def test_entry_point_installed(tmp_path):
     assert proc.stdout == run_cli(*argv)[1].encode()
     assert run_module("bounds", "--n", "3", "--k", "5", "--d", "1",
                       cwd=tmp_path).returncode == 2
+
+
+def test_verify_jobs_output_matches_serial():
+    serial = run_cli("verify", "--suite", "sweep", "--p", "3", "--jobs", "1")
+    pooled = run_cli("verify", "--suite", "sweep", "--p", "3", "--jobs", "2")
+    assert serial[0] == 0
+    assert pooled == serial
+
+
+MALFORMED = {
+    "labels_key": {"p": 3, "ngens": 1, "labels": {"a": "x"}},
+    "string_parameter": {"family": "G2", "p": 3, "m": "2"},
+    "composite_p": {"family": "G2", "p": 4, "m": 2},
+    "power_list": {"p": 3, "ngens": 2, "power": [[2, 1]]},
+    "negative_ngens": {"p": 3, "ngens": -1},
+    "large_prime_p": {"p": 10 ** 30 + 57, "ngens": 1},
+    "large_prime_family_p": {"family": "E1", "p": 10 ** 30 + 57},
+    "huge_p": {"p": 10 ** 400, "ngens": 1},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED)
+def test_multiplier_malformed_file_exit_2(doc, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    proc = run_module("multiplier", "--file", str(path), cwd=tmp_path,
+                      timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.slow

@@ -1,6 +1,8 @@
 """Schur multipliers, stem covers, exterior squares, the class-2 exact
 sequence, and the class-3 wedge inequality."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,23 +12,16 @@ from pgh.homology import (abelian_multiplier, be_sequence,
                           exterior_square_order, psi2_image, psi3_image,
                           schur_multiplier, stem_cover, tails_system,
                           tensor_abelian, thm25_check)
-from pgh.pcp import (AbelianType, center, derived_subgroup, direct_product,
+from pgh.pcp import (AbelianType, abelianization_type, center,
+                     derived_subgroup, direct_product, log_p,
                      nilpotency_class, structure_stats, subgroup_closure)
 
 
 def _abelian_presentation(p, divisors):
-    P = catalog.cyclic(p, _exp(divisors[0], p))
+    P = catalog.cyclic(p, log_p(divisors[0], p))
     for d in divisors[1:]:
-        P = direct_product(P, catalog.cyclic(p, _exp(d, p)))
+        P = direct_product(P, catalog.cyclic(p, log_p(d, p)))
     return P
-
-
-def _exp(d, p):
-    e = 0
-    while d > 1:
-        d //= p
-        e += 1
-    return e
 
 
 # -- multiplier values -----------------------------------------------
@@ -111,6 +106,18 @@ def test_abelian_oracle_equivalence(p, exps):
     t = AbelianType.from_divisors(divisors)
     P = _abelian_presentation(p, divisors)
     assert schur_multiplier(P) == abelian_multiplier(t)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kunneth_direct_products(p):
+    # [DERIVED] Kunneth: M(G x H) = M(G) + M(H) + (G^ab (x) H^ab)
+    table = catalog.small_group_table(p, 3)
+    for G, H in itertools.combinations_with_replacement(table, 2):
+        tensor = tensor_abelian(abelianization_type(G), abelianization_type(H))
+        want = AbelianType.from_divisors(schur_multiplier(G).divisors
+                                         + schur_multiplier(H).divisors
+                                         + tensor.divisors)
+        assert schur_multiplier(direct_product(G, H)) == want, (G, H)
 
 
 # -- stem covers -----------------------------------------------------

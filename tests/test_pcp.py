@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from pgh import catalog
 from pgh.pcp import (AbelianType, PcPresentation, abelian_invariants,
-                     abelianization_type, center, derived_subgroup,
-                     direct_product, frattini_subgroup, full_subgroup,
-                     lower_central_series, nilpotency_class, quotient,
-                     structure_stats, subgroup_closure, trivial_subgroup)
+                     abelianization_type, center, check_prime,
+                     derived_subgroup, direct_product, frattini_subgroup,
+                     full_subgroup, log_p, lower_central_series,
+                     nilpotency_class, quotient, structure_stats,
+                     subgroup_closure, trivial_subgroup)
 
 
 @pytest.fixture
@@ -177,3 +178,39 @@ def test_collection_agrees_with_symmetric_group_model(p, i, j):
     y = (j % p, (j // p) % p, (j // p // p) % p)
     z = P.gen(0)
     assert P.mult(P.mult(x, y), z) == P.mult(x, P.mult(y, z))
+
+
+def test_check_prime_matches_trial_division():
+    for n in range(-2, 5000):
+        prime = n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+        try:
+            check_prime(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == prime, n
+
+
+@pytest.mark.parametrize("n", [
+    2047,                        # strong pseudoprime to base 2
+    3215031751,                  # ... to bases 2, 3, 5, 7
+    3825123056546413051,         # ... to the primes up to 23
+    318665857834031151167461,    # ... to the primes up to 37
+])
+def test_check_prime_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="not prime"):
+        check_prime(n)
+
+
+def test_check_prime_large_values():
+    check_prime(2 ** 61 - 1)
+    check_prime(10 ** 24 + 7)
+    for n in (10 ** 30 + 57, 10 ** 400):
+        with pytest.raises(ValueError, match="too large"):
+            check_prime(n)
+
+
+def test_log_p():
+    assert [log_p(v, 3) for v in (1, 3, 9, 3 ** 20)] == [0, 1, 2, 20]
+    with pytest.raises(ValueError):
+        log_p(12, 2)
