@@ -1,14 +1,20 @@
 """Epicenter and capability via stem covers, plus the exterior pairing.
 
 A group is capable iff it is a central quotient H/Z(H); this is decided
-by the epicenter, computed here as the projection of the center of a
-stem cover.  The exterior pairing a ^ b is realized as [a^, b^] in the
-cover, which is independent of the choice of lifts because the kernel of
-the projection is central.
+by the epicenter Z*(G) = proj(Z(E)) for a stem cover E -> G with kernel
+M.  It is computed as the kernel of z -> ([z^, g_1^], ..., [z^, g_d^]),
+Z(G) -> M^d, for lifts ^ of central z and of generators g_i of G: M is
+central in E, so each commutator lies in M, does not depend on the
+lifts and is a homomorphism in z.  The exterior pairing a ^ b is
+realized as [a^, b^] in the cover, independent of the lifts for the
+same reason.
 """
 
+import math
+
 from .homology import stem_cover
-from .pcp import center, subgroup_closure, trivial_subgroup
+from .pcp import AbelianSection, center, frattini_subgroup, subgroup_closure
+from .snf import smith_normal_form
 
 
 class ExteriorElement:
@@ -43,15 +49,40 @@ def exterior_pair(cover, a, b):
 
 
 def epicenter(cover):
-    """proj(Z(E)) as a subgroup of G: the obstruction to capability."""
-    P = cover.base
-    ze = center(cover.E)
-    gens = [cover.project(b) for b in ze.basis]
-    gens = [g for g in gens if g != P.identity()]
-    if not gens:
-        return trivial_subgroup(P)
-    sub = subgroup_closure(P, gens)
+    """Z*(G) as a subgroup of G: the obstruction to capability.
+
+    The z_j generate Z(G), one per invariant factor; the g_i are a
+    Burnside basis (the pc generators outside the Frattini subgroup).
+    Row j of A holds the coordinates of [z_j^, g_i^] in M, scaled to the
+    modulus N = exp M; with U*A*V = D, the kernel mod N is spanned by the
+    rows (N / gcd(N, d_i)) * U_i, where d_i = 0 past the rank.
+    """
+    P, E = cover.base, cover.E
     zg = center(P)
+    zsec = AbelianSection(P, zg)
+    zs = zsec.representatives()
+    phi = set(frattini_subgroup(P).leading_indices())
+    gs = [cover.lift(P.gen(i)) for i in range(P.ngens) if i not in phi]
+    msec = AbelianSection(E, cover.M)
+    N = max(msec.divisors, default=1)
+    rows = []
+    for z in zs:
+        zhat = cover.lift(z)
+        row = []
+        for g in gs:
+            c = msec.coords(E.commutator(zhat, g))
+            row.extend(ci * (N // d) for ci, d in zip(c, msec.divisors))
+        rows.append(row)
+    snf = smith_normal_form(rows, ncols=len(gs) * len(msec.divisors))
+    diag = snf.diagonal + [0] * (len(zs) - snf.rank)
+    gens = []
+    for u, d in zip(snf.U, diag):
+        scale = N // math.gcd(N, d)
+        z = P.identity()
+        for zj, c, order in zip(zs, u, zsec.divisors):
+            z = P.mult(z, P.pow(zj, scale * c % order))
+        gens.append(z)
+    sub = subgroup_closure(P, gens)
     assert sub.issubset(zg), "epicenter escapes the center"
     return sub
 

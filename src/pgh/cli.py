@@ -12,8 +12,7 @@ import json
 import sys
 
 from . import catalog, verify
-from .capability import (epicenter, epicenter_crosscheck, exterior_pair,
-                         is_capable)
+from .capability import epicenter, epicenter_crosscheck, exterior_pair
 from .catalog import FamilyParameterError, PresentationFormatError
 from .homology import (abelian_multiplier, be_sequence,
                        central_quotient_section, schur_multiplier, stem_cover,
@@ -145,7 +144,7 @@ def cmd_capable(args, out):
     epi = epicenter(cover)
     record = {
         "group": desc,
-        "capable": is_capable(cover),
+        "capable": not epi.basis,
         "epicenter_order": epi.order,
     }
     _emit_record(record, args.format, out)
@@ -267,7 +266,7 @@ def _suite_capability(p, deep, jobs):
             epi = epicenter(cover)
             der = derived_subgroup(P)
             rows.append((f"noncapable_epicenter_is_derived[m={m}]",
-                         not is_capable(cover) and epi.issubset(der)
+                         bool(epi.basis) and epi.issubset(der)
                          and der.issubset(epi) and epi.order == p,
                          f"epicenter order {epi.order}"))
             a, b = P.gen(0), P.gen(1)

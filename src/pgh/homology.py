@@ -144,12 +144,14 @@ def tails_system(P):
     ops = _TailedOps(P)
     n = P.ngens
     rows = []
+    seen = set()
 
     def emit(lhs, rhs):
         assert lhs[0] == rhs[0], "tailed overlap disagrees on the base group"
-        row = [a - b for a, b in zip(lhs[1], rhs[1])]
-        if any(row) and row not in rows:
-            rows.append(row)
+        row = tuple(a - b for a, b in zip(lhs[1], rhs[1]))
+        if any(row) and row not in seen:
+            seen.add(row)
+            rows.append(list(row))
 
     gens = [ops.gen(i) for i in range(n)]
     powers = [ops.power_rhs(i) for i in range(n)]

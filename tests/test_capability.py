@@ -5,8 +5,9 @@ import pytest
 from pgh import catalog
 from pgh.capability import (epicenter, epicenter_crosscheck, exterior_pair,
                             is_capable)
+from pgh.cli import _catalog_groups
 from pgh.homology import stem_cover
-from pgh.pcp import derived_subgroup
+from pgh.pcp import center, derived_subgroup, subgroup_closure
 
 
 @pytest.mark.parametrize("builder", [
@@ -84,3 +85,43 @@ def test_exterior_pair_bilinearity_center():
 ])
 def test_epicenter_cover_independent(builder):
     assert epicenter_crosscheck(builder())
+
+
+def _epicenter_reference(cover):
+    """proj(Z(E)), by taking the center of the whole stem cover."""
+    return subgroup_closure(cover.base,
+                            [cover.project(b) for b in center(cover.E).basis])
+
+
+@pytest.fixture(scope="module")
+def epicenter_cases():
+    """(group name, cover, epicenter) over both cover variants of the
+    order-p^3 and p^4 tables at p = 2, 3 and the p = 3 verify catalog
+    with G6."""
+    groups = []
+    for p in (2, 3):
+        for e in (3, 4):
+            groups += [(f"order {p}^{e} #{i}", P)
+                       for i, P in enumerate(catalog.small_group_table(p, e))]
+    groups += _catalog_groups(3, deep=True)
+    cases = []
+    for name, P in groups:
+        for variant in (0, 1):
+            cover = stem_cover(P, variant=variant)
+            cases.append((name, cover, epicenter(cover)))
+    return cases
+
+
+def test_epicenter_matches_center_of_cover(epicenter_cases):
+    for name, cover, epi in epicenter_cases:
+        assert epi == _epicenter_reference(cover), name
+    # the comparison is not vacuous: many groups have a nontrivial epicenter
+    assert len({name for name, _, epi in epicenter_cases if epi.basis}) >= 10
+
+
+def test_epicenter_lifts_are_central(epicenter_cases):
+    for name, cover, epi in epicenter_cases:
+        E = cover.E
+        for z in epi.basis:
+            for g in E.gens():
+                assert E.commutator(cover.lift(z), g) == E.identity(), name
