@@ -10,6 +10,13 @@ import json
 from .pcp import PcPresentation, check_prime, direct_product, trivial_group
 
 
+# The most generators a family member or a parsed presentation may have.
+# The consistency check is cubic in the generator count, so larger inputs
+# are refused before anything of their size is built.  Presentations
+# built by the library itself, such as stem covers, are not limited.
+MAX_GENERATORS = 64
+
+
 class FamilyParameterError(ValueError):
     """A family constructor was called with invalid parameters."""
 
@@ -34,7 +41,8 @@ def homocyclic(p, exponent, rank):
     for r in range(rank):
         chain = _chain(r * exponent, exponent)
         _chain_power_rules(power, chain)
-        labels[chain[0]] = f"x{r + 1}"
+        if chain:
+            labels[chain[0]] = f"x{r + 1}"
     return PcPresentation(p, n, power, {}, labels, check_consistent=False)
 
 
@@ -358,6 +366,17 @@ FAMILY_PARAMS = {
     "TRIVIAL": (),
 }
 
+# The generator count of the families whose size grows with a parameter.
+_GENERATOR_COUNT = {
+    "HOMOCYCLIC": lambda m, rank: m * rank,
+    "MIN_NONAB_A": lambda m, n: m + n,
+    "MIN_NONAB_B": lambda m, n: m + n + 1,
+    "MODULAR": lambda n: n,
+    "G1": lambda n: n,
+    "G2": lambda m: 2 * m + 1,
+    "G4": lambda m: 3 * m,
+}
+
 
 def make(family, p, **params):
     """Construct a family member; raises FamilyParameterError on bad input."""
@@ -374,6 +393,12 @@ def make(family, p, **params):
         check_prime(p)
     except ValueError as exc:
         raise FamilyParameterError(str(exc)) from exc
+    if family in _GENERATOR_COUNT:
+        ngens = _GENERATOR_COUNT[family](**params)
+        if ngens > MAX_GENERATORS:
+            raise FamilyParameterError(
+                f"family {family} with these parameters has {ngens} "
+                f"generators, more than the limit of {MAX_GENERATORS}")
     if family == "HOMOCYCLIC":
         return homocyclic(p, params["m"], params["rank"])
     if family == "MIN_NONAB_A":
@@ -490,6 +515,9 @@ def parse(text):
     ngens = doc["ngens"]
     if ngens < 0:
         raise PresentationFormatError(f"ngens {ngens} is negative")
+    if ngens > MAX_GENERATORS:
+        raise PresentationFormatError(
+            f"ngens {ngens} is more than the limit of {MAX_GENERATORS}")
     power = [()] * ngens
     for key, raw in _object_field(doc, "power").items():
         try:

@@ -5,119 +5,21 @@ trilinear/quadrilinear commutator maps on central quotients.
 The tails method: adjoin one central generator of infinite order to every
 power rule and every commutator rule, re-run all consistency overlaps in
 the tailed presentation, and read off the multiplier as the torsion part
-of the cokernel of the resulting integer relation matrix.
+of the cokernel of the resulting integer relation matrix.  The tailed
+presentation has no collector of its own: `PcPresentation._collect_into`
+counts the tails in an optional accumulator, and the overlaps are the
+ones the consistency check enumerates (`pcp._overlaps`).
 """
 
 import math
 from dataclasses import dataclass
 
 from .pcp import (AbelianSection, AbelianType, PcPresentation, Subgroup,
-                  abelian_invariants, center, derived_subgroup, full_subgroup,
-                  log_p, lower_central_series, per_presentation,
-                  structure_stats, subgroup_closure, trivial_subgroup)
+                  _overlaps, _tail_count, _tail_slot, abelian_invariants,
+                  center, derived_subgroup, full_subgroup, log_p,
+                  lower_central_series, per_presentation, structure_stats,
+                  subgroup_closure, trivial_subgroup)
 from .snf import smith_normal_form
-
-
-# -- tailed collection ------------------------------------------------
-
-
-class _TailedOps:
-    """Collection in the covering presentation of P.
-
-    Elements are (vec, tails) where vec is the normal form over the
-    original generators and tails is an integer vector with one slot per
-    power rule and one per commutator pair (the pair slots exist even for
-    pairs whose commutator rule is trivial).
-    """
-
-    def __init__(self, P):
-        self.P = P
-        n = P.ngens
-        self.ntails = n + n * (n - 1) // 2
-
-    def pair_slot(self, j, i):
-        return self.P.ngens + j * (j - 1) // 2 + i
-
-    def identity(self):
-        return (0,) * self.P.ngens, (0,) * self.ntails
-
-    def gen(self, i):
-        vec, tails = self.identity()
-        vec = tuple(1 if j == i else 0 for j in range(self.P.ngens))
-        return vec, tails
-
-    def power_rhs(self, i):
-        """The element g_i^p as given by its tailed rule."""
-        vec = [0] * self.P.ngens
-        tails = [0] * self.ntails
-        tails[i] = 1
-        self._collect(vec, tails, self.P.power[i])
-        return tuple(vec), tuple(tails)
-
-    def mult(self, x, y):
-        vec = list(x[0])
-        tails = [a + b for a, b in zip(x[1], y[1])]
-        self._collect(vec, tails, [(i, e) for i, e in enumerate(y[0]) if e])
-        return tuple(vec), tuple(tails)
-
-    def pow(self, x, e):
-        out = self.identity()
-        for _ in range(e):
-            out = self.mult(out, x)
-        return out
-
-    def _collect(self, vec, tails, word):
-        p = self.P.p
-        n = self.P.ngens
-        power = self.P.power
-        comm = self.P.comm
-        stack = [(g, e) for g, e in reversed(list(word))]
-        while stack:
-            g, e = stack.pop()
-            if e == 0:
-                continue
-            if e < 0:
-                # g^-1 = g^(p-1) * (g^p)^-1; the tailed power rule is
-                # g^p = w * t_g with t_g central
-                if e < -1:
-                    stack.append((g, e + 1))
-                tails[g] -= 1
-                pw = power[g]
-                if pw:
-                    stack.extend((h, -f) for h, f in pw)
-                stack.append((g, p - 1))
-                continue
-            if e > 1:
-                stack.append((g, e - 1))
-            tail = [(t, vec[t]) for t in range(g + 1, n) if vec[t]]
-            if not tail:
-                vec[g] += 1
-                if vec[g] == p:
-                    vec[g] = 0
-                    tails[g] += 1
-                    if power[g]:
-                        stack.extend(reversed(power[g]))
-                continue
-            for t, _ in tail:
-                vec[t] = 0
-            vec[g] += 1
-            pending = []
-            if vec[g] == p:
-                vec[g] = 0
-                tails[g] += 1
-                pending.extend(power[g])
-            for t, ct in tail:
-                # moving g left past g_t^ct applies the tailed rule
-                # [g_t, g] = w * t_(t,g) once per unit
-                tails[self.pair_slot(t, g)] += ct
-                cw = comm.get((t, g))
-                if cw:
-                    for _ in range(ct):
-                        pending.append((t, 1))
-                        pending.extend(cw)
-                else:
-                    pending.append((t, ct))
-            stack.extend(reversed(pending))
 
 
 class TailsSystem:
@@ -140,45 +42,41 @@ class TailsSystem:
 
 @per_presentation
 def tails_system(P):
-    """Assemble and reduce the tails relation matrix for a consistent P."""
-    ops = _TailedOps(P)
+    """Assemble and reduce the tails relation matrix for a consistent P.
+
+    An element of the covering group is a pair (vec, tails): a normal form
+    of P and the tail counts that collecting it accumulates.  Each overlap
+    of P gives one relation row, the difference of the tails of its sides.
+    """
     n = P.ngens
+    ntails = _tail_count(n)
+
+    def collect(word):
+        vec, tails = [0] * n, [0] * ntails
+        P._collect_into(vec, word, tails)
+        return tuple(vec), tuple(tails)
+
+    def mult(x, y):
+        vec = list(x[0])
+        tails = [a + b for a, b in zip(x[1], y[1])]
+        P._collect_into(vec, [(i, e) for i, e in enumerate(y[0]) if e], tails)
+        return tuple(vec), tuple(tails)
+
     rows = []
     seen = set()
-
-    def emit(lhs, rhs):
+    gens = [collect(((i, 1),)) for i in range(n)]
+    for _, lhs, rhs in _overlaps(P.p, gens, mult, collect):
         assert lhs[0] == rhs[0], "tailed overlap disagrees on the base group"
         row = tuple(a - b for a, b in zip(lhs[1], rhs[1]))
         if any(row) and row not in seen:
             seen.add(row)
             rows.append(list(row))
 
-    gens = [ops.gen(i) for i in range(n)]
-    powers = [ops.power_rhs(i) for i in range(n)]
-    for k in range(2, n):
-        for j in range(1, k):
-            gkj = ops.mult(gens[k], gens[j])
-            for i in range(j):
-                emit(ops.mult(gkj, gens[i]),
-                     ops.mult(gens[k], ops.mult(gens[j], gens[i])))
-    for j in range(1, n):
-        gjq = ops.pow(gens[j], P.p - 1)
-        for i in range(j):
-            emit(ops.mult(powers[j], gens[i]),
-                 ops.mult(gjq, ops.mult(gens[j], gens[i])))
-    for j in range(1, n):
-        for i in range(j):
-            emit(ops.mult(gens[j], powers[i]),
-                 ops.mult(ops.mult(gens[j], gens[i]),
-                          ops.pow(gens[i], P.p - 1)))
-    for i in range(n):
-        emit(ops.mult(gens[i], powers[i]), ops.mult(powers[i], gens[i]))
-
-    snf = smith_normal_form(rows, ncols=ops.ntails)
+    snf = smith_normal_form(rows, ncols=ntails)
     if snf.cokernel_free_rank() != n:
         raise AssertionError(
             f"tails cokernel free rank {snf.cokernel_free_rank()} != {n}")
-    return TailsSystem(ops.ntails, rows, snf)
+    return TailsSystem(ntails, rows, snf)
 
 
 def schur_multiplier(P):
@@ -278,14 +176,13 @@ def stem_cover(P, variant=0):
             word.extend(_base_p_word(v, chain, p))
         return tuple(word)
 
-    ops = _TailedOps(P)
     power = []
     for i in range(n):
         power.append(tuple(P.power[i]) + tail_image(i))
     comm = {}
     for j in range(1, n):
         for i in range(j):
-            w = tuple(P.comm.get((j, i), ())) + tail_image(ops.pair_slot(j, i))
+            w = P.comm.get((j, i), ()) + tail_image(_tail_slot(n, j, i))
             if w:
                 comm[(j, i)] = w
     power += [()] * (total - n)

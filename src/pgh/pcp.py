@@ -135,8 +135,13 @@ class PcPresentation:
     def label(self, i):
         return self.labels.get(i, f"g{i + 1}")
 
-    def _collect_into(self, vec, word):
-        """Multiply the normal form `vec` (a list, modified in place) by `word`."""
+    def _collect_into(self, vec, word, tails=None):
+        """Multiply the normal form `vec` (a list, modified in place) by `word`.
+
+        With a `tails` list, collection runs in the covering presentation,
+        whose rules each carry one central tail (laid out by `_tail_slot`),
+        and `tails` counts in place the tails of the rules applied.
+        """
         p = self.p
         n = self.ngens
         power = self.power
@@ -149,32 +154,46 @@ class PcPresentation:
             if g < 0 or g >= n:
                 raise IndexError(f"generator index {g} out of range")
             if e < 0:
-                # g^-1 = g^(p-1) * (g^p)^-1
+                # g^-1 = g^(p-1) * (g^p)^-1, where g^p = w * t_g
                 if e < -1:
                     stack.append((g, e + 1))
+                if tails is not None:
+                    tails[g] -= 1
                 pw = power[g]
                 if pw:
                     stack.extend((h, -f) for h, f in pw)
                 stack.append((g, p - 1))
                 continue
-            if e > 1:
-                stack.append((g, e - 1))
-            # multiply by a single g
             tail = [(t, vec[t]) for t in range(g + 1, n) if vec[t]]
             if not tail:
-                vec[g] += 1
+                # no rule fires before g^p wraps: take the run up to it at once
+                k = min(e, p - vec[g])
+                if e > k:
+                    stack.append((g, e - k))
+                vec[g] += k
                 if vec[g] == p:
                     vec[g] = 0
+                    if tails is not None:
+                        tails[g] += 1
                     if power[g]:
                         stack.extend(reversed(power[g]))
                 continue
+            if e > 1:
+                stack.append((g, e - 1))
+            # multiply by a single g, moving it left past the tail
             for t, _ in tail:
                 vec[t] = 0
             vec[g] += 1
             pending = []
             if vec[g] == p:
                 vec[g] = 0
+                if tails is not None:
+                    tails[g] += 1
                 pending.extend(power[g])
+            if tails is not None:
+                # [g_t, g] = w * t_(t,g) applies once per unit of g_t
+                for t, ct in tail:
+                    tails[_tail_slot(n, t, g)] += ct
             for t, ct in tail:
                 cw = comm.get((t, g))
                 if cw:
@@ -240,40 +259,7 @@ class PcPresentation:
 
     def consistency_checks(self):
         """Yield (tag, lhs, rhs) for every overlap test, in a fixed order."""
-        p = self.p
-        for k in range(2, self.ngens):
-            gk = self.gen(k)
-            for j in range(1, k):
-                gj = self.gen(j)
-                gkj = self.mult(gk, gj)
-                for i in range(j):
-                    gi = self.gen(i)
-                    lhs = self.mult(gkj, gi)
-                    rhs = self.mult(gk, self.mult(gj, gi))
-                    yield ("assoc", k, j, i), lhs, rhs
-        for j in range(1, self.ngens):
-            gj = self.gen(j)
-            gjp = self.collect(self.power[j])
-            gjq = self.pow(gj, p - 1)
-            for i in range(j):
-                gi = self.gen(i)
-                yield (("power_left", j, i),
-                       self.mult(gjp, gi),
-                       self.mult(gjq, self.mult(gj, gi)))
-        for j in range(1, self.ngens):
-            gj = self.gen(j)
-            for i in range(j):
-                gi = self.gen(i)
-                gip = self.collect(self.power[i])
-                yield (("power_right", j, i),
-                       self.mult(gj, gip),
-                       self.mult(self.mult(gj, gi), self.pow(gi, p - 1)))
-        for i in range(self.ngens):
-            gi = self.gen(i)
-            gip = self.collect(self.power[i])
-            yield (("power_self", i),
-                   self.mult(gi, gip),
-                   self.mult(gip, gi))
+        yield from _overlaps(self.p, self.gens(), self.mult, self.collect)
 
     def is_consistent(self):
         return all(lhs == rhs for _, lhs, rhs in self.consistency_checks())
@@ -304,6 +290,48 @@ class PcPresentation:
 
     def element_str(self, x):
         return self.word_str(tuple((i, e) for i, e in enumerate(x) if e))
+
+
+def _overlaps(p, gens, mult, collect):
+    """Yield (tag, lhs, rhs) for every overlap test, in a fixed order.
+
+    `gens` are the generators, `mult` multiplies two elements and
+    `collect` turns a word into an element.  Both the consistency check
+    and the tails relations of the covering group run this enumeration.
+    """
+    n = len(gens)
+    for k in range(2, n):
+        for j in range(1, k):
+            gkj = mult(gens[k], gens[j])
+            for i in range(j):
+                yield (("assoc", k, j, i), mult(gkj, gens[i]),
+                       mult(gens[k], mult(gens[j], gens[i])))
+    gp = [collect(((i, p),)) for i in range(n)]
+    gq = [collect(((i, p - 1),)) for i in range(n)]
+    for j in range(1, n):
+        for i in range(j):
+            yield (("power_left", j, i), mult(gp[j], gens[i]),
+                   mult(gq[j], mult(gens[j], gens[i])))
+    for j in range(1, n):
+        for i in range(j):
+            yield (("power_right", j, i), mult(gens[j], gp[i]),
+                   mult(mult(gens[j], gens[i]), gq[i]))
+    for i in range(n):
+        yield ("power_self", i), mult(gens[i], gp[i]), mult(gp[i], gens[i])
+
+
+# The covering presentation adjoins one central tail to every rule of a
+# presentation with n generators: slot i to the power rule of g_i, and
+# slot _tail_slot(n, j, i) to the commutator pair j > i, also where
+# [g_j, g_i] = 1.
+
+
+def _tail_slot(n, j, i):
+    return n + j * (j - 1) // 2 + i
+
+
+def _tail_count(n):
+    return _tail_slot(n, n, 0)
 
 
 def per_presentation(fn):

@@ -119,6 +119,7 @@ def test_make_dispatch():
     assert catalog.make("E1", 3).order == 27
     assert catalog.make("G4", 3, m=2).order == 729
     assert catalog.make("HOMOCYCLIC", 2, m=3, rank=1).order == 8
+    assert catalog.make("HOMOCYCLIC", 3, m=0, rank=2).order == 1
     assert catalog.make("SMALL", 3, exponent=4, index=1).order == 81
     with pytest.raises(FamilyParameterError):
         catalog.make("SMALL", 3, exponent=4, index=16)

@@ -189,6 +189,10 @@ MALFORMED = {
     "large_prime_p": {"p": 10 ** 30 + 57, "ngens": 1},
     "large_prime_family_p": {"family": "E1", "p": 10 ** 30 + 57},
     "huge_p": {"p": 10 ** 400, "ngens": 1},
+    "huge_ngens": {"p": 3, "ngens": 100000},
+    "huge_family_m": {"family": "G2", "p": 3, "m": 2000},
+    "huge_family_exponent": {"family": "HOMOCYCLIC", "p": 3, "m": 1000000000,
+                             "rank": 1},
 }
 
 

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgh import catalog
-from pgh.pcp import (AbelianType, PcPresentation, abelian_invariants,
-                     abelianization_type, center, check_prime,
-                     derived_subgroup, direct_product, frattini_subgroup,
-                     full_subgroup, log_p, lower_central_series,
-                     nilpotency_class, quotient, structure_stats,
-                     subgroup_closure, trivial_subgroup)
+from pgh.pcp import (AbelianType, PcPresentation, _tail_count,
+                     abelian_invariants, abelianization_type, center,
+                     check_prime, derived_subgroup, direct_product,
+                     frattini_subgroup, full_subgroup, log_p,
+                     lower_central_series, nilpotency_class, quotient,
+                     structure_stats, subgroup_closure, trivial_subgroup)
+
+SMALL_TABLES = [P for p in (2, 3, 5) for e in (3, 4)
+                for P in catalog.small_group_table(p, e)]
 
 
 @pytest.fixture
@@ -178,6 +181,20 @@ def test_collection_agrees_with_symmetric_group_model(p, i, j):
     y = (j % p, (j // p) % p, (j // p // p) % p)
     z = P.gen(0)
     assert P.mult(P.mult(x, y), z) == P.mult(x, P.mult(y, z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_tailed_collection_keeps_the_normal_form(data):
+    # tails_system relies on this when it asserts that both sides of a
+    # tailed overlap agree on the base group
+    P = data.draw(st.sampled_from(SMALL_TABLES))
+    letter = st.tuples(st.integers(0, P.ngens - 1),
+                       st.integers(-2 * P.p, 2 * P.p))
+    word = data.draw(st.lists(letter, max_size=12))
+    vec = [0] * P.ngens
+    P._collect_into(vec, word, [0] * _tail_count(P.ngens))
+    assert tuple(vec) == P.collect(word)
 
 
 def test_check_prime_matches_trial_division():
