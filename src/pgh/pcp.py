@@ -13,7 +13,7 @@ import functools
 import inspect
 from dataclasses import dataclass, field
 
-from .snf import smith_normal_form, unimodular_inverse
+from .snf import smith_normal_form
 
 Word = tuple  # tuple of (generator_index, exponent) pairs, 0-based indices
 
@@ -734,6 +734,7 @@ class AbelianSection:
         if snf.cokernel_free_rank():
             raise AssertionError("abelian section has unexpected free rank")
         self.V = snf.V
+        self.Vinv = snf.Vinv
         self.torsion = [(idx, d) for idx, d in enumerate(snf.diagonal) if d > 1]
         self.divisors = tuple(d for _, d in self.torsion)
         assert self.type.order * M.order == N.order, "section order mismatch"
@@ -741,10 +742,6 @@ class AbelianSection:
     @property
     def type(self):
         return AbelianType.from_divisors(self.divisors)
-
-    @functools.cached_property
-    def Vinv(self):
-        return unimodular_inverse(self.V) if self.V else []
 
     def coords(self, x):
         """Coordinates of x*M in the invariant decomposition."""

@@ -2,10 +2,10 @@
 
 Matrices are plain lists of lists of Python ints, so there is no overflow
 to worry about.  The reduction keeps the transformation matrices U and V
-with U * A * V = D and re-multiplies them at the end as a self-check.
+with U * A * V = D, and V^-1 beside V.  The matrices met here are mostly
+zeros, so every step skips zero entries.  At the end U * A * V is
+re-multiplied over the nonzeros and every entry is compared with D.
 """
-
-from fractions import Fraction
 
 
 def identity_matrix(n):
@@ -13,25 +13,34 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """The product a * b: each row's nonzeros times the nonzero rows of b."""
+    width = len(b[0]) if b else 0
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_nonzero[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 class SmithResult:
     """Diagonal form of an integer matrix together with its transforms.
 
     U * A * V = D, where U and V are unimodular and the diagonal entries
-    of D satisfy the divisibility chain d1 | d2 | ... .
+    of D satisfy the divisibility chain d1 | d2 | ... .  Vinv is V^-1.
     """
 
-    def __init__(self, rows, cols, diagonal, U, V):
+    def __init__(self, rows, cols, diagonal, U, V, Vinv):
         self.rows = rows
         self.cols = cols
         self.diagonal = diagonal
         self.U = U
         self.V = V
+        self.Vinv = Vinv
 
     @property
     def rank(self):
@@ -64,6 +73,7 @@ def smith_normal_form(matrix, ncols=None):
             raise ValueError("ragged matrix")
     u = identity_matrix(nrows)
     v = identity_matrix(ncols)
+    v_inv = identity_matrix(ncols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -74,22 +84,27 @@ def smith_normal_form(matrix, ncols=None):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, mult):
-        arow = a[src]
-        drow = a[dst]
-        for idx in range(ncols):
-            drow[idx] += mult * arow[idx]
-        usrc = u[src]
-        udst = u[dst]
-        for idx in range(nrows):
-            udst[idx] += mult * usrc[idx]
+        for m in (a, u):
+            drow = m[dst]
+            for idx, x in enumerate(m[src]):
+                if x:
+                    drow[idx] += mult * x
 
     def add_col(src, dst, mult):
-        for row in a:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
+        # column dst += mult * column src on V is, on V^-1, the row
+        # operation row src -= mult * row dst
+        for m in (a, v):
+            for row in m:
+                x = row[src]
+                if x:
+                    row[dst] += mult * x
+        srow = v_inv[src]
+        for idx, x in enumerate(v_inv[dst]):
+            if x:
+                srow[idx] -= mult * x
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -98,15 +113,18 @@ def smith_normal_form(matrix, ncols=None):
     t = 0
     limit = min(nrows, ncols)
     while t < limit:
-        # locate the smallest-magnitude nonzero pivot in the trailing block
+        # locate the smallest-magnitude nonzero pivot in the trailing block,
+        # first in row-major order; nothing is smaller than a unit
         pivot = None
-        best = None
+        best = 0
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
+            mags = list(map(abs, a[i][t:]))
+            val = min(filter(None, mags), default=0)
+            if val and (not best or val < best):
+                best = val
+                pivot = (i, t + mags.index(val))
+                if best == 1:
+                    break
         if pivot is None:
             break
         pi, pj = pivot
@@ -167,36 +185,16 @@ def smith_normal_form(matrix, ncols=None):
                     negate_row(i + 1)
 
     diagonal = [a[i][i] for i in range(t) if a[i][i]]
+    # free the reduced matrix before the check builds two products of its size
+    del a
     for x, y in zip(diagonal, diagonal[1:]):
         if y % x:
             raise AssertionError("divisibility chain violated")
-    d = mat_mul(mat_mul(u, [list(r) for r in matrix]), v)
-    for i in range(nrows):
-        for j in range(ncols):
-            expected = diagonal[i] if i == j and i < len(diagonal) else 0
-            if d[i][j] != expected:
-                raise AssertionError("smith normal form self-check failed")
-    return SmithResult(nrows, ncols, diagonal, u, v)
-
-
-def unimodular_inverse(m):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(m)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col])
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    out = []
-    for row in work:
-        entries = row[n:]
-        if any(x.denominator != 1 for x in entries):
-            raise AssertionError("matrix is not unimodular")
-        out.append([int(x) for x in entries])
-    return out
+    d = mat_mul(mat_mul(u, matrix), v)
+    for i, row in enumerate(d):
+        expected = [0] * ncols
+        if i < len(diagonal):
+            expected[i] = diagonal[i]
+        if row != expected:
+            raise AssertionError("smith normal form self-check failed")
+    return SmithResult(nrows, ncols, diagonal, u, v, v_inv)

@@ -1,18 +1,23 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import importlib.metadata
 import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgh
-from pgh import cli
+from pgh import catalog, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -71,7 +76,6 @@ def test_group_family():
 
 
 def test_group_file(tmp_path):
-    from pgh import catalog
     path = tmp_path / "g5.json"
     path.write_text(catalog.serialize(catalog.g5(3)))
     code, out = run_cli("group", "--file", str(path))
@@ -206,6 +210,98 @@ def test_multiplier_malformed_file_exit_2(doc, tmp_path):
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# -- fuzzing `group --file` ---------------------------------------------
+
+# Any JSON value, and documents built from the real keys.  Sizes stay small
+# (at most 9 generators or family parameter 9) or jump to values the limits
+# must reject at once; primes above 100 are not drawn, because collection is
+# still linear in p (CHANGES.md, FOUND).
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=5), kids, max_size=3)),
+    max_leaves=10)
+huge = st.sampled_from([1000, 10 ** 9, -10 ** 9, 10 ** 30 + 57, 10 ** 400])
+wrong = st.one_of(huge, json_values)
+
+
+def mostly(good, bad):
+    """Draws from `good` three times in four."""
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda s: s)
+
+
+primes = mostly(st.sampled_from([2, 3, 5, 7, 11]),
+                st.one_of(st.integers(-10, 100), wrong))
+small = mostly(st.integers(-2, 9), wrong)
+index = st.integers(-1, 10)
+pair = st.tuples(index, st.integers(-2, 12)).map(list)
+word = mostly(st.lists(mostly(pair, json_values), max_size=3), json_values)
+key = mostly(index.map(str), st.text(max_size=4))
+pair_key = mostly(st.tuples(index, index).map("{0[0]},{0[1]}".format),
+                  st.text(max_size=4))
+presentation_docs = st.fixed_dictionaries(
+    {"p": primes, "ngens": small},
+    optional={
+        "power": mostly(st.dictionaries(key, word, max_size=4), json_values),
+        "comm": mostly(st.dictionaries(pair_key, word, max_size=6),
+                       json_values),
+        "labels": mostly(st.dictionaries(key, json_values, max_size=3),
+                         json_values),
+    })
+family_names = mostly(
+    st.sampled_from(sorted(catalog.FAMILY_PARAMS)),
+    st.one_of(st.sampled_from(sorted(catalog.FAMILY_PARAMS)).map(str.lower),
+              st.text(max_size=6)))
+family_docs = family_names.flatmap(lambda name: mostly(
+    # the family's own parameters
+    st.fixed_dictionaries(
+        {"family": st.just(name), "p": primes,
+         **{k: small for k in catalog.FAMILY_PARAMS.get(name.upper(), ())}}),
+    # any subset of the known parameters, and a stray key
+    st.fixed_dictionaries(
+        {"family": st.just(name), "p": primes},
+        optional={**{k: small for k in ("m", "n", "rank", "exponent", "index")},
+                  "other": json_values})))
+documents = mostly(
+    st.one_of(presentation_docs, family_docs).map(json.dumps),
+    st.one_of(json_values.map(json.dumps), st.text(max_size=20)))
+
+# seconds one document may take before the test fails as a hang
+FUZZ_BUDGET_S = 20
+
+
+class Hang(Exception):
+    pass
+
+
+def _hang(signum, frame):
+    raise Hang(f"group --file took more than {FUZZ_BUDGET_S} s")
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_group_file_fuzz_exits_0_or_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "group.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        previous = signal.signal(signal.SIGALRM, _hang)
+        signal.setitimer(signal.ITIMER_REAL, FUZZ_BUDGET_S)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["group", "--file", path])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 """Schur multipliers, stem covers, exterior squares, the class-2 exact
 sequence, and the class-3 wedge inequality."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -15,6 +16,7 @@ from pgh.homology import (abelian_multiplier, be_sequence,
 from pgh.pcp import (AbelianType, abelianization_type, center,
                      derived_subgroup, direct_product, log_p,
                      nilpotency_class, structure_stats, subgroup_closure)
+from pgh.verify import sweep_universe
 
 
 def _abelian_presentation(p, divisors):
@@ -106,6 +108,14 @@ def test_abelian_oracle_equivalence(p, exps):
     t = AbelianType.from_divisors(divisors)
     P = _abelian_presentation(p, divisors)
     assert schur_multiplier(P) == abelian_multiplier(t)
+
+
+def test_abelian_multiplier_closed_form_at_rank_32():
+    # a 496 x 528 tails matrix; M(C_3^32) = C_3^(32*31/2)
+    P = catalog.elementary_abelian(3, 32)
+    M = schur_multiplier(P)
+    assert M == abelian_multiplier(abelianization_type(P))
+    assert M.divisors == (3,) * 496
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -229,3 +239,35 @@ def test_wedge_inequality_rejects_high_class():
     assert nilpotency_class(P) == 4
     with pytest.raises(ValueError):
         thm25_check(P)
+
+
+# -- byte identity ----------------------------------------------------
+
+# sha256 of the tails systems and stem covers below, recorded from the
+# dense Smith normal form that the sparse one replaced; any change to the
+# collector's order of rule applications or to the SNF pivots moves it.
+TAILS_AND_COVERS_SHA256 = (
+    "399413531e50b1fe5a396d5b06414c76c28456b397a3802c6139c4b6893c8472")
+
+
+def _digest_groups():
+    for p in (2, 3, 5):
+        for _, P in sweep_universe(p, 4, deep=True):
+            yield P
+    yield catalog.g4(3, 3)
+    yield catalog.g1(3, 7)
+    yield catalog.homocyclic(3, 3, 3)
+
+
+def test_tails_systems_and_stem_covers_are_byte_identical():
+    h = hashlib.sha256()
+    count = 0
+    for P in _digest_groups():
+        count += 1
+        ts = tails_system(P)
+        for part in (ts.relation_matrix, ts.snf.diagonal, ts.snf.U, ts.snf.V):
+            h.update(repr(part).encode())
+        for variant in (0, 1):
+            h.update(catalog.serialize(stem_cover(P, variant).E).encode())
+    assert count == 82
+    assert h.hexdigest() == TAILS_AND_COVERS_SHA256

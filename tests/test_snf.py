@@ -1,9 +1,179 @@
 """Smith normal form: exact transforms, divisibility chain, cokernel."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgh.snf import identity_matrix, mat_mul, smith_normal_form, unimodular_inverse
+import pgh.snf
+from pgh.snf import identity_matrix, mat_mul, smith_normal_form
+
+
+def bareiss_determinant(m):
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination; every division is exact."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+# -- the dense implementation the sparse one must reproduce exactly ------
+# (this module's mat_mul and smith_normal_form before they skipped zeros,
+# returning a tuple instead of a SmithResult)
+
+
+def _reference_mat_mul(a, b):
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _reference_smith_normal_form(matrix, ncols=None):
+    """Compute the Smith normal form of an integer matrix.
+
+    `matrix` is a list of rows; `ncols` must be given when the matrix has
+    no rows.  Returns (diagonal, U, V).  Pivots are chosen smallest magnitude
+    first, rows before columns, so the result is deterministic.
+    """
+    nrows = len(matrix)
+    if ncols is None:
+        if not matrix:
+            raise ValueError("ncols is required for a matrix with no rows")
+        ncols = len(matrix[0])
+    a = [list(row) for row in matrix]
+    for row in a:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    u = identity_matrix(nrows)
+    v = identity_matrix(ncols)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, mult):
+        arow = a[src]
+        drow = a[dst]
+        for idx in range(ncols):
+            drow[idx] += mult * arow[idx]
+        usrc = u[src]
+        udst = u[dst]
+        for idx in range(nrows):
+            udst[idx] += mult * usrc[idx]
+
+    def add_col(src, dst, mult):
+        for row in a:
+            row[dst] += mult * row[src]
+        for row in v:
+            row[dst] += mult * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        # locate the smallest-magnitude nonzero pivot in the trailing block
+        pivot = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                val = abs(a[i][j])
+                if val and (best is None or val < best):
+                    best = val
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        # clear the pivot row and column; repeat until both are clean
+        while True:
+            progressed = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        progressed = True
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        progressed = True
+            if not progressed:
+                break
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    # enforce the divisibility chain d_i | d_{i+1}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(t - 1):
+            di, dj = a[i][i], a[i + 1][i + 1]
+            if dj % di:
+                changed = True
+                add_col(i + 1, i, 1)
+                # re-clear the 2x2 block
+                while True:
+                    x, y = a[i][i], a[i + 1][i]
+                    if not y:
+                        break
+                    q = y // x
+                    add_row(i, i + 1, -q)
+                    if a[i + 1][i]:
+                        swap_rows(i, i + 1)
+                while True:
+                    x, y = a[i][i], a[i][i + 1]
+                    if not y:
+                        break
+                    q = y // x
+                    add_col(i, i + 1, -q)
+                    if a[i][i + 1]:
+                        swap_cols(i, i + 1)
+                if a[i][i] < 0:
+                    negate_row(i)
+                if a[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+
+    diagonal = [a[i][i] for i in range(t) if a[i][i]]
+    for x, y in zip(diagonal, diagonal[1:]):
+        if y % x:
+            raise AssertionError("divisibility chain violated")
+    d = _reference_mat_mul(_reference_mat_mul(u, [list(r) for r in matrix]), v)
+    for i in range(nrows):
+        for j in range(ncols):
+            expected = diagonal[i] if i == j and i < len(diagonal) else 0
+            if d[i][j] != expected:
+                raise AssertionError("smith normal form self-check failed")
+    return diagonal, u, v
+
+
+# -- worked examples --------------------------------------------------
 
 
 def test_diagonal_of_known_matrix():
@@ -41,9 +211,23 @@ def test_cokernel_free_rank():
 
 
 def test_unimodular_inverse_roundtrip():
+    # m is unimodular, so U * m * V = I and m^-1 = V * U; V^-1 undoes V
     m = [[1, 2, 0], [0, 1, 5], [0, 0, 1]]
-    inv = unimodular_inverse(m)
-    assert mat_mul(m, inv) == identity_matrix(3)
+    res = smith_normal_form(m)
+    assert res.diagonal == [1, 1, 1]
+    assert mat_mul(m, mat_mul(res.V, res.U)) == identity_matrix(3)
+    assert mat_mul(res.V, res.Vinv) == identity_matrix(3)
+
+
+def test_bareiss_determinant():
+    assert bareiss_determinant([]) == 1
+    assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+    assert bareiss_determinant([[2, 4], [6, 8]]) == -8
+    assert bareiss_determinant([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    assert bareiss_determinant([[0, 2, 1], [3, 0, 0], [1, 1, 1]]) == -3
+
+
+# -- properties -------------------------------------------------------
 
 
 matrices = st.integers(1, 4).flatmap(
@@ -51,6 +235,24 @@ matrices = st.integers(1, 4).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(-30, 30), min_size=c, max_size=c),
             min_size=r, max_size=r)))
+
+
+
+def shaped(dim, bound):
+    """(matrix, ncols) up to dim x dim, empty and zero-width shapes included."""
+    return st.integers(0, dim).flatmap(
+        lambda r: st.integers(0, dim).flatmap(
+            lambda c: st.tuples(
+                st.lists(st.lists(st.integers(-bound, bound),
+                                  min_size=c, max_size=c),
+                         min_size=r, max_size=r),
+                st.just(c))))
+
+
+# Dense 5 x 5 matrices with entries up to 30 can make the coefficients of
+# U and V grow to millions of bits, in the reference too (ROADMAP, "Fix
+# first"), so larger shapes draw smaller entries.
+reference_cases = st.one_of(shaped(6, 2), shaped(4, 30))
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,6 +269,60 @@ def test_divisibility_chain(m):
 @given(matrices)
 def test_transforms_are_unimodular(m):
     res = smith_normal_form(m)
-    for t in (res.U, res.V):
-        inv = unimodular_inverse(t)
-        assert mat_mul(t, inv) == identity_matrix(len(t))
+    assert abs(bareiss_determinant(res.U)) == 1
+    n = len(res.V)
+    assert mat_mul(res.V, res.Vinv) == identity_matrix(n)
+    assert mat_mul(res.Vinv, res.V) == identity_matrix(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_cases)
+def test_same_result_as_the_dense_reference(case):
+    m, ncols = case
+    res = smith_normal_form(m, ncols=ncols)
+    assert (res.diagonal, res.U, res.V) == _reference_smith_normal_form(m, ncols)
+    assert mat_mul(res.V, res.Vinv) == identity_matrix(ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_mat_mul_equals_the_dense_product(r, k, c, data):
+    entries = st.one_of(st.just(0), st.integers(-50, 50))
+    a = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                           min_size=r, max_size=r))
+    b = data.draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                           min_size=k, max_size=k))
+    if k:
+        assert mat_mul(a, b) == _reference_mat_mul(a, b)
+    else:
+        # the product with no inner dimension is the r x 0 matrix, since b
+        # has no rows to give a width; the dense product agrees
+        assert mat_mul(a, b) == _reference_mat_mul(a, b) == [[] for _ in a]
+
+
+def test_self_check_multiplies_u_a_v_through_the_module(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        out = mat_mul(a, b)
+        calls.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(pgh.snf, "mat_mul", counted)
+    m = [[6, 4, 2], [2, 8, 4], [0, 0, 10], [1, 0, 3]]
+    res = smith_normal_form(m)
+    assert len(calls) == 2
+    (a1, b1, ua), (a2, b2, _) = calls
+    assert a1 is res.U and b1 is m
+    assert a2 is ua and b2 is res.V
+
+    # every entry of U * A * V is compared with D, off the diagonal too
+    def corrupted(a, b):
+        out = mat_mul(a, b)
+        if b is not m:
+            out[-1][0] += 1
+        return out
+
+    monkeypatch.setattr(pgh.snf, "mat_mul", corrupted)
+    with pytest.raises(AssertionError, match="self-check failed"):
+        smith_normal_form(m)
