@@ -7,6 +7,10 @@ Rule words may only mention generators of strictly larger index, which
 makes collection from the left terminate.
 
 Elements are exponent tuples (e_1, ..., e_N) with 0 <= e_i < p.
+Inverses, commutators, conjugates and sifting steps are left divisions,
+the z with x * z = y, solved with positive exponents only: z_i is read
+off once x * g_1^z_1 ... g_(i-1)^z_(i-1) agrees with y below i, since
+<g_i, ..., g_N> is a subgroup and normal forms are unique.
 """
 
 import functools
@@ -215,16 +219,20 @@ class PcPresentation:
         self._collect_into(vec, [(i, e) for i, e in enumerate(y) if e])
         return tuple(vec)
 
-    def inv(self, x):
-        word = []
-        acc = list(x)
-        for i in range(self.ngens):
-            e = acc[i]
+    def solve(self, x, y):
+        """Left division: the normal form z with x * z = y, by positive runs."""
+        v = list(x)
+        z = []
+        for i, yi in enumerate(y):
+            e = (yi - v[i]) % self.p
             if e:
-                self._collect_into(acc, [(i, -e)])
-                word.append((i, -e))
-        assert not any(acc), "inverse computation failed"
-        return self.collect(word)
+                self._collect_into(v, ((i, e),))
+            z.append(e)
+        assert v == list(y), "left division failed"
+        return tuple(z)
+
+    def inv(self, x):
+        return self.solve(x, self._identity)
 
     def pow(self, x, e):
         if e < 0:
@@ -240,13 +248,11 @@ class PcPresentation:
 
     def commutator(self, x, y):
         """[x, y] = x^-1 y^-1 x y."""
-        xy = self.mult(x, y)
-        yx = self.mult(y, x)
-        return self.mult(self.inv(yx), xy)
+        return self.solve(self.mult(y, x), self.mult(x, y))
 
     def conjugate(self, x, y):
         """x^y = y^-1 x y."""
-        return self.mult(self.inv(y), self.mult(x, y))
+        return self.solve(y, self.mult(x, y))
 
     def element_order(self, x):
         k = 1
@@ -425,29 +431,29 @@ class Subgroup:
     def log_order(self):
         return len(self.basis)
 
+    def _sift(self, x):
+        """(c_1, ..., c_m) and the residue x, where step k sets x = b_k^-c_k x."""
+        out = []
+        for b in self.basis:
+            c = x[_leading(b)]
+            out.append(c)
+            if c:
+                x = self.amb.solve(self.amb.pow(b, c), x)
+        return tuple(out), x
+
     def sift(self, x):
         """Reduce x against the basis; the residue is trivial iff x is a member."""
-        for b in self.basis:
-            lead = _leading(b)
-            c = x[lead]
-            if c:
-                x = self.amb.mult(self.amb.pow(b, -c), x)
-        return x
+        return self._sift(x)[1]
 
     def contains(self, x):
         return self.sift(x) == self.amb.identity()
 
     def coords(self, x):
         """Exponents (c_1, ..., c_m) with x = b_1^c_1 * ... * b_m^c_m."""
-        out = []
-        for b in self.basis:
-            c = x[_leading(b)]
-            out.append(c)
-            if c:
-                x = self.amb.mult(self.amb.pow(b, -c), x)
-        if x != self.amb.identity():
+        out, residue = self._sift(x)
+        if residue != self.amb.identity():
             raise ValueError("element is not in the subgroup")
-        return tuple(out)
+        return out
 
     def from_coords(self, coords):
         x = self.amb.identity()
@@ -504,7 +510,7 @@ def subgroup_closure(P, gens, normal=False):
             b = basis.get(lead)
             if b is None:
                 return x
-            x = P.mult(P.pow(b, -x[lead]), x)
+            x = P.solve(P.pow(b, x[lead]), x)
         return x
 
     queue = [tuple(g) for g in gens]
@@ -752,14 +758,7 @@ class AbelianSection:
 
     def representatives(self):
         """One element of N per invariant generator of the section."""
-        reps = []
-        for idx, _ in self.torsion:
-            x = self.P.identity()
-            for b, e in zip(self.N.basis, self.Vinv[idx]):
-                if e:
-                    x = self.P.mult(x, self.P.pow(b, e))
-            reps.append(x)
-        return reps
+        return [self.N.from_coords(self.Vinv[idx]) for idx, _ in self.torsion]
 
 
 def abelian_invariants(P, N, M=None):

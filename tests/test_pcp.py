@@ -1,12 +1,15 @@
 """Polycyclic presentations: collection, consistency, subgroup and
 series machinery, quotients, and abelian invariants."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgh import catalog
-from pgh.pcp import (AbelianType, PcPresentation, _tail_count,
+from pgh.homology import stem_cover
+from pgh.pcp import (AbelianType, PcPresentation, _leading, _tail_count,
                      abelian_invariants, abelianization_type, center,
                      check_prime, derived_subgroup, direct_product,
                      frattini_subgroup, full_subgroup, log_p,
@@ -195,6 +198,104 @@ def test_tailed_collection_keeps_the_normal_form(data):
     vec = [0] * P.ngens
     P._collect_into(vec, word, [0] * _tail_count(P.ngens))
     assert tuple(vec) == P.collect(word)
+
+
+# -- the arithmetic that left division replaced ----------------------------
+# (PcPresentation.inv, commutator and conjugate before they became left
+# divisions, taking the presentation as `self`; the commutator and the
+# conjugate call the reference inverse)
+
+
+def _reference_inv(self, x):
+    word = []
+    acc = list(x)
+    for i in range(self.ngens):
+        e = acc[i]
+        if e:
+            self._collect_into(acc, [(i, -e)])
+            word.append((i, -e))
+    assert not any(acc), "inverse computation failed"
+    return self.collect(word)
+
+
+def _reference_commutator(self, x, y):
+    """[x, y] = x^-1 y^-1 x y."""
+    xy = self.mult(x, y)
+    yx = self.mult(y, x)
+    return self.mult(_reference_inv(self, yx), xy)
+
+
+def _reference_conjugate(self, x, y):
+    """x^y = y^-1 x y."""
+    return self.mult(_reference_inv(self, y), self.mult(x, y))
+
+
+def _reference_sift(S, x):
+    """Subgroup.coords's loop before it solved, returning (coordinates,
+    residue); pow(b, -c) was pow(inv(b), c)."""
+    out = []
+    for b in S.basis:
+        c = x[_leading(b)]
+        out.append(c)
+        if c:
+            x = S.amb.mult(S.amb.pow(_reference_inv(S.amb, b), c), x)
+    return tuple(out), x
+
+
+@functools.cache
+def _solve_groups():
+    """SMALL_TABLES and two stem covers, of 14 and 15 generators."""
+    return SMALL_TABLES + [stem_cover(catalog.g5(3)).E,
+                           stem_cover(catalog.g4(3, 3)).E]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_left_division_matches_the_reference_arithmetic(data):
+    P = data.draw(st.sampled_from(_solve_groups()))
+    element = st.tuples(*[st.integers(0, P.p - 1)] * P.ngens)
+    x, y = data.draw(element), data.draw(element)
+    assert P.mult(x, P.solve(x, y)) == y
+    assert P.inv(x) == _reference_inv(P, x)
+    assert P.commutator(x, y) == _reference_commutator(P, x, y)
+    assert P.conjugate(x, y) == _reference_conjugate(P, x, y)
+    D = derived_subgroup(P)
+    coords, residue = _reference_sift(D, x)
+    assert D.sift(x) == residue
+    if residue == P.identity():
+        assert D.coords(x) == coords
+    else:
+        with pytest.raises(ValueError, match="not in the subgroup"):
+            D.coords(x)
+    c = data.draw(st.tuples(*[st.integers(0, P.p - 1)] * len(D.basis)))
+    member = D.from_coords(c)
+    assert D.coords(member) == _reference_sift(D, member)[0] == c
+    assert D.sift(member) == P.identity()
+
+
+def test_no_negative_exponent_reaches_the_collector():
+    P = catalog.g4(3, 2)    # fresh, so no invariant is cached on it yet
+    words = []
+    collect_into = P._collect_into
+
+    def recorder(vec, word, tails=None):
+        word = list(word)
+        words.append(word)
+        collect_into(vec, word, tails)
+
+    P._collect_into = recorder
+    x, y = P.mult(P.gen(0), P.gen(4)), P.mult(P.gen(1), P.gen(3))
+    P.inv(x)
+    P.commutator(x, y)
+    P.conjugate(x, y)
+    D = derived_subgroup(P)
+    D.sift(x)
+    D.coords(D.from_coords((1,) * len(D.basis)))
+    subgroup_closure(P, [x, y])
+    center(P)
+    structure_stats(P)
+    assert len(words) > 100
+    assert [w for w in words if any(e < 0 for _, e in w)] == []
 
 
 def test_check_prime_matches_trial_division():
