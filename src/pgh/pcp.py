@@ -150,9 +150,10 @@ class PcPresentation:
         n = self.ngens
         power = self.power
         comm = self.comm
-        stack = [(g, e) for g, e in reversed(list(word))]
+        stack = list(word)[::-1]
+        pop, push, extend = stack.pop, stack.append, stack.extend
         while stack:
-            g, e = stack.pop()
+            g, e = pop()
             if e == 0:
                 continue
             if g < 0 or g >= n:
@@ -160,53 +161,47 @@ class PcPresentation:
             if e < 0:
                 # g^-1 = g^(p-1) * (g^p)^-1, where g^p = w * t_g
                 if e < -1:
-                    stack.append((g, e + 1))
+                    push((g, e + 1))
                 if tails is not None:
                     tails[g] -= 1
-                pw = power[g]
-                if pw:
-                    stack.extend((h, -f) for h, f in pw)
-                stack.append((g, p - 1))
+                extend((h, -f) for h, f in power[g])
+                push((g, p - 1))
                 continue
-            tail = [(t, vec[t]) for t in range(g + 1, n) if vec[t]]
-            if not tail:
+            if any(vec[g + 1:]):
+                # multiply by a single g, moving it left past the tail
+                if e > 1:
+                    push((g, e - 1))
+                pending = []
+                for t in range(g + 1, n):
+                    ct = vec[t]
+                    if ct:
+                        vec[t] = 0
+                        if tails is not None:
+                            # [g_t, g] = w * t_(t,g), once per unit of g_t
+                            tails[_tail_slot(n, t, g)] += ct
+                        cw = comm.get((t, g))
+                        if cw:
+                            for _ in range(ct):
+                                pending.append((t, 1))
+                                pending.extend(cw)
+                        else:
+                            pending.append((t, ct))
+                pending.reverse()
+                extend(pending)
+                v = vec[g] + 1
+            else:
                 # no rule fires before g^p wraps: take the run up to it at once
-                k = min(e, p - vec[g])
-                if e > k:
-                    stack.append((g, e - k))
-                vec[g] += k
-                if vec[g] == p:
-                    vec[g] = 0
-                    if tails is not None:
-                        tails[g] += 1
-                    if power[g]:
-                        stack.extend(reversed(power[g]))
+                v = vec[g] + e
+                if v > p:
+                    push((g, v - p))
+            if v < p:
+                vec[g] = v
                 continue
-            if e > 1:
-                stack.append((g, e - 1))
-            # multiply by a single g, moving it left past the tail
-            for t, _ in tail:
-                vec[t] = 0
-            vec[g] += 1
-            pending = []
-            if vec[g] == p:
-                vec[g] = 0
-                if tails is not None:
-                    tails[g] += 1
-                pending.extend(power[g])
+            vec[g] = 0
             if tails is not None:
-                # [g_t, g] = w * t_(t,g) applies once per unit of g_t
-                for t, ct in tail:
-                    tails[_tail_slot(n, t, g)] += ct
-            for t, ct in tail:
-                cw = comm.get((t, g))
-                if cw:
-                    for _ in range(ct):
-                        pending.append((t, 1))
-                        pending.extend(cw)
-                else:
-                    pending.append((t, ct))
-            stack.extend(reversed(pending))
+                tails[g] += 1
+            if power[g]:
+                extend(reversed(power[g]))
 
     def collect(self, word):
         """Normal form of a word, given as (generator, exponent) pairs."""
@@ -301,29 +296,36 @@ class PcPresentation:
 def _overlaps(p, gens, mult, collect):
     """Yield (tag, lhs, rhs) for every overlap test, in a fixed order.
 
-    `gens` are the generators, `mult` multiplies two elements and
+    `gens[i]` is the collected word g_i, `mult` multiplies two elements and
     `collect` turns a word into an element.  Both the consistency check
     and the tails relations of the covering group run this enumeration.
+    The words g_j g_i (j > i), g_i^p and g_i^(p-1) are collected once, on
+    first use, so a check that stops at a failing test pays for no later one.
     """
     n = len(gens)
+    memo = {}
+
+    def word(*letters):
+        if letters not in memo:
+            memo[letters] = collect(letters)
+        return memo[letters]
+
     for k in range(2, n):
         for j in range(1, k):
-            gkj = mult(gens[k], gens[j])
             for i in range(j):
-                yield (("assoc", k, j, i), mult(gkj, gens[i]),
-                       mult(gens[k], mult(gens[j], gens[i])))
-    gp = [collect(((i, p),)) for i in range(n)]
-    gq = [collect(((i, p - 1),)) for i in range(n)]
+                yield (("assoc", k, j, i), mult(word((k, 1), (j, 1)), gens[i]),
+                       mult(gens[k], word((j, 1), (i, 1))))
     for j in range(1, n):
         for i in range(j):
-            yield (("power_left", j, i), mult(gp[j], gens[i]),
-                   mult(gq[j], mult(gens[j], gens[i])))
+            yield (("power_left", j, i), mult(word((j, p)), gens[i]),
+                   mult(word((j, p - 1)), word((j, 1), (i, 1))))
     for j in range(1, n):
         for i in range(j):
-            yield (("power_right", j, i), mult(gens[j], gp[i]),
-                   mult(mult(gens[j], gens[i]), gq[i]))
+            yield (("power_right", j, i), mult(gens[j], word((i, p))),
+                   mult(word((j, 1), (i, 1)), word((i, p - 1))))
     for i in range(n):
-        yield ("power_self", i), mult(gens[i], gp[i]), mult(gp[i], gens[i])
+        yield (("power_self", i), mult(gens[i], word((i, p))),
+               mult(word((i, p)), gens[i]))
 
 
 # The covering presentation adjoins one central tail to every rule of a

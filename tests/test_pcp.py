@@ -2,19 +2,21 @@
 series machinery, quotients, and abelian invariants."""
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgh import catalog
-from pgh.homology import stem_cover
-from pgh.pcp import (AbelianType, PcPresentation, _leading, _tail_count,
-                     abelian_invariants, abelianization_type, center,
-                     check_prime, derived_subgroup, direct_product,
-                     frattini_subgroup, full_subgroup, log_p,
-                     lower_central_series, nilpotency_class, quotient,
-                     structure_stats, subgroup_closure, trivial_subgroup)
+from pgh import catalog, homology
+from pgh.homology import stem_cover, tails_system
+from pgh.pcp import (AbelianType, PcPresentation, _leading, _overlaps,
+                     _tail_count, _tail_slot, abelian_invariants,
+                     abelianization_type, center, check_prime,
+                     derived_subgroup, direct_product, frattini_subgroup,
+                     full_subgroup, log_p, lower_central_series,
+                     nilpotency_class, quotient, structure_stats,
+                     subgroup_closure, trivial_subgroup)
 
 SMALL_TABLES = [P for p in (2, 3, 5) for e in (3, 4)
                 for P in catalog.small_group_table(p, e)]
@@ -273,8 +275,8 @@ def test_left_division_matches_the_reference_arithmetic(data):
     assert D.sift(member) == P.identity()
 
 
-def test_no_negative_exponent_reaches_the_collector():
-    P = catalog.g4(3, 2)    # fresh, so no invariant is cached on it yet
+def _record_collector(P):
+    """Wrap P._collect_into so that it records every word it is given."""
     words = []
     collect_into = P._collect_into
 
@@ -284,6 +286,12 @@ def test_no_negative_exponent_reaches_the_collector():
         collect_into(vec, word, tails)
 
     P._collect_into = recorder
+    return words
+
+
+def test_no_negative_exponent_reaches_the_collector():
+    P = catalog.g4(3, 2)    # fresh, so no invariant is cached on it yet
+    words = _record_collector(P)
     x, y = P.mult(P.gen(0), P.gen(4)), P.mult(P.gen(1), P.gen(3))
     P.inv(x)
     P.commutator(x, y)
@@ -296,6 +304,214 @@ def test_no_negative_exponent_reaches_the_collector():
     structure_stats(P)
     assert len(words) > 100
     assert [w for w in words if any(e < 0 for _, e in w)] == []
+
+
+# -- the collector and the overlap enumeration before the overlap products
+# were shared (PcPresentation._collect_into, taking the presentation as
+# `self`, and pcp._overlaps, verbatim but for their names)
+
+
+def _reference_collect_into(self, vec, word, tails=None):
+    """Multiply the normal form `vec` (a list, modified in place) by `word`.
+
+    With a `tails` list, collection runs in the covering presentation,
+    whose rules each carry one central tail (laid out by `_tail_slot`),
+    and `tails` counts in place the tails of the rules applied.
+    """
+    p = self.p
+    n = self.ngens
+    power = self.power
+    comm = self.comm
+    stack = [(g, e) for g, e in reversed(list(word))]
+    while stack:
+        g, e = stack.pop()
+        if e == 0:
+            continue
+        if g < 0 or g >= n:
+            raise IndexError(f"generator index {g} out of range")
+        if e < 0:
+            # g^-1 = g^(p-1) * (g^p)^-1, where g^p = w * t_g
+            if e < -1:
+                stack.append((g, e + 1))
+            if tails is not None:
+                tails[g] -= 1
+            pw = power[g]
+            if pw:
+                stack.extend((h, -f) for h, f in pw)
+            stack.append((g, p - 1))
+            continue
+        tail = [(t, vec[t]) for t in range(g + 1, n) if vec[t]]
+        if not tail:
+            # no rule fires before g^p wraps: take the run up to it at once
+            k = min(e, p - vec[g])
+            if e > k:
+                stack.append((g, e - k))
+            vec[g] += k
+            if vec[g] == p:
+                vec[g] = 0
+                if tails is not None:
+                    tails[g] += 1
+                if power[g]:
+                    stack.extend(reversed(power[g]))
+            continue
+        if e > 1:
+            stack.append((g, e - 1))
+        # multiply by a single g, moving it left past the tail
+        for t, _ in tail:
+            vec[t] = 0
+        vec[g] += 1
+        pending = []
+        if vec[g] == p:
+            vec[g] = 0
+            if tails is not None:
+                tails[g] += 1
+            pending.extend(power[g])
+        if tails is not None:
+            # [g_t, g] = w * t_(t,g) applies once per unit of g_t
+            for t, ct in tail:
+                tails[_tail_slot(n, t, g)] += ct
+        for t, ct in tail:
+            cw = comm.get((t, g))
+            if cw:
+                for _ in range(ct):
+                    pending.append((t, 1))
+                    pending.extend(cw)
+            else:
+                pending.append((t, ct))
+        stack.extend(reversed(pending))
+
+
+def _reference_overlaps(p, gens, mult, collect):
+    """Yield (tag, lhs, rhs) for every overlap test, in a fixed order.
+
+    `gens` are the generators, `mult` multiplies two elements and
+    `collect` turns a word into an element.  Both the consistency check
+    and the tails relations of the covering group run this enumeration.
+    """
+    n = len(gens)
+    for k in range(2, n):
+        for j in range(1, k):
+            gkj = mult(gens[k], gens[j])
+            for i in range(j):
+                yield (("assoc", k, j, i), mult(gkj, gens[i]),
+                       mult(gens[k], mult(gens[j], gens[i])))
+    gp = [collect(((i, p),)) for i in range(n)]
+    gq = [collect(((i, p - 1),)) for i in range(n)]
+    for j in range(1, n):
+        for i in range(j):
+            yield (("power_left", j, i), mult(gp[j], gens[i]),
+                   mult(gq[j], mult(gens[j], gens[i])))
+    for j in range(1, n):
+        for i in range(j):
+            yield (("power_right", j, i), mult(gens[j], gp[i]),
+                   mult(mult(gens[j], gens[i]), gq[i]))
+    for i in range(n):
+        yield ("power_self", i), mult(gens[i], gp[i]), mult(gp[i], gens[i])
+
+
+def _with_reference_collector(P):
+    """A copy of P whose arithmetic runs _reference_collect_into."""
+    R = PcPresentation(P.p, P.ngens, P.power, P.comm, check_consistent=False)
+    R._collect_into = functools.partial(_reference_collect_into, R)
+    return R
+
+
+class _Enumerated(Exception):
+    pass
+
+
+def _tailed_overlaps(P, overlaps):
+    """The tailed enumeration tails_system(P) consumes, run by `overlaps`;
+    the relation matrix is not built, so P need not be consistent."""
+    seen = []
+
+    def record(*args):
+        seen.extend(overlaps(*args))
+        raise _Enumerated
+
+    with mock.patch.object(homology, "_overlaps", record):
+        with pytest.raises(_Enumerated):
+            tails_system.__wrapped__(P)
+    return seen
+
+
+# the chief-series candidate spaces of orders 16, 27 and 81 that
+# tests/test_table_enumeration.py walks
+CANDIDATE_SPACES = [(2, 4), (3, 3), (3, 4)]
+
+
+def _draw_candidate(data):
+    """A random candidate presentation, most often an inconsistent one."""
+    p, n = data.draw(st.sampled_from(CANDIDATE_SPACES))
+
+    def word(low):
+        exps = data.draw(st.tuples(*[st.integers(0, p - 1)] * (n - 1 - low)))
+        return tuple((g, e) for g, e in enumerate(exps, low + 1) if e)
+
+    power = [word(i) for i in range(n)]
+    comm = {(j, i): word(j) for j in range(1, n) for i in range(j)}
+    return PcPresentation(p, n, power, comm, check_consistent=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_collector_matches_the_reference_collector(data):
+    P = data.draw(st.sampled_from(_solve_groups()))
+    x = data.draw(st.tuples(*[st.integers(0, P.p - 1)] * P.ngens))
+    letter = st.tuples(st.integers(0, P.ngens - 1),
+                       st.integers(-2 * P.p, 2 * P.p))
+    word = data.draw(st.lists(letter, max_size=12))
+    for tails in (None, [0] * _tail_count(P.ngens)):
+        vec, ref_vec = list(x), list(x)
+        ref_tails = None if tails is None else list(tails)
+        P._collect_into(vec, word, tails)
+        _reference_collect_into(P, ref_vec, word, ref_tails)
+        assert vec == ref_vec
+        assert tails == ref_tails
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_overlaps_match_the_reference_enumeration(data):
+    if data.draw(st.booleans()):
+        P = data.draw(st.sampled_from(SMALL_TABLES))
+    else:
+        P = _draw_candidate(data)
+    R = _with_reference_collector(P)
+    reference = list(_reference_overlaps(R.p, R.gens(), R.mult, R.collect))
+    assert list(P.consistency_checks()) == reference
+    assert P.is_consistent() == all(lhs == rhs for _, lhs, rhs in reference)
+    assert (_tailed_overlaps(P, _overlaps)
+            == _tailed_overlaps(R, _reference_overlaps))
+
+
+def _collector_calls(P, run):
+    """How many times run(P) calls P._collect_into."""
+    words = _record_collector(P)
+    run(P)
+    return len(words)
+
+
+def test_consistency_collector_call_counts():
+    # Exact counts on fresh presentations, so that a silent drop, which
+    # could mean a skipped overlap, fails too.  A change that moves a count
+    # updates it here and says why in CHANGES.md.
+    assert sum(_collector_calls(P, PcPresentation.is_consistent)
+               for P in catalog.small_group_table(3, 4)) == 810
+    E = stem_cover(catalog.g4(3, 3)).E
+    assert _collector_calls(E, PcPresentation.is_consistent) == 1495
+    assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 203
+    assert _collector_calls(catalog.g6(), tails_system) == 210
+
+
+def test_collector_rejects_out_of_range_generators():
+    P = catalog.g6()
+    for g in (P.ngens, -1):
+        with pytest.raises(IndexError, match="out of range"):
+            P.collect(((g, 1),))
+        with pytest.raises(IndexError, match="out of range"):
+            P._collect_into([0] * P.ngens, ((g, 1),),
+                            [0] * _tail_count(P.ngens))
 
 
 def test_check_prime_matches_trial_division():
