@@ -47,6 +47,9 @@ def tails_system(P):
     An element of the covering group is a pair (vec, tails): a normal form
     of P and the tail counts that collecting it accumulates.  Each overlap
     of P gives one relation row, the difference of the tails of its sides.
+    The row order decides U, V and so the stem cover, so rows are kept per
+    overlap block as they stream, then joined in a fixed block order, each
+    distinct nonzero row at its first occurrence.
     """
     n = P.ngens
     ntails = _tail_count(n)
@@ -62,15 +65,17 @@ def tails_system(P):
         P._collect_into(vec, [(i, e) for i, e in enumerate(y[0]) if e], tails)
         return tuple(vec), tuple(tails)
 
-    rows = []
-    seen = set()
+    # one dict per block, used as an ordered set, in the order of the rows
+    blocks = {tag: {} for tag in ("assoc", "power_left", "power_right",
+                                  "power_self")}
     gens = [collect(((i, 1),)) for i in range(n)]
-    for _, lhs, rhs in _overlaps(P.p, gens, mult, collect):
+    for tag, lhs, rhs in _overlaps(P.p, gens, mult, collect):
         assert lhs[0] == rhs[0], "tailed overlap disagrees on the base group"
         row = tuple(a - b for a, b in zip(lhs[1], rhs[1]))
-        if any(row) and row not in seen:
-            seen.add(row)
-            rows.append(list(row))
+        if any(row):
+            blocks[tag[0]][row] = None
+    rows = [list(row) for row in dict.fromkeys(
+        row for block in blocks.values() for row in block)]
 
     snf = smith_normal_form(rows, ncols=ntails)
     if snf.cokernel_free_rank() != n:

@@ -154,10 +154,10 @@ class PcPresentation:
         pop, push, extend = stack.pop, stack.append, stack.extend
         while stack:
             g, e = pop()
-            if e == 0:
-                continue
             if g < 0 or g >= n:
                 raise IndexError(f"generator index {g} out of range")
+            if e == 0:
+                continue
             if e < 0:
                 # g^-1 = g^(p-1) * (g^p)^-1, where g^p = w * t_g
                 if e < -1:
@@ -259,7 +259,7 @@ class PcPresentation:
     # -- consistency ---------------------------------------------------
 
     def consistency_checks(self):
-        """Yield (tag, lhs, rhs) for every overlap test, in a fixed order."""
+        """Yield (tag, lhs, rhs) for every overlap test, smallest block first."""
         yield from _overlaps(self.p, self.gens(), self.mult, self.collect)
 
     def is_consistent(self):
@@ -294,13 +294,16 @@ class PcPresentation:
 
 
 def _overlaps(p, gens, mult, collect):
-    """Yield (tag, lhs, rhs) for every overlap test, in a fixed order.
+    """Yield (tag, lhs, rhs) for every overlap test, smallest block first.
 
     `gens[i]` is the collected word g_i, `mult` multiplies two elements and
     `collect` turns a word into an element.  Both the consistency check
     and the tails relations of the covering group run this enumeration.
-    The words g_j g_i (j > i), g_i^p and g_i^(p-1) are collected once, on
-    first use, so a check that stops at a failing test pays for no later one.
+    The blocks run smallest first: power_self (n tests), power_left and
+    power_right (n(n-1)/2 each), then assoc (n(n-1)(n-2)/6), since an
+    inconsistent presentation almost always fails a power test.  The words
+    g_j g_i (j > i), g_i^p and g_i^(p-1) are collected once, on first use,
+    so a check that stops at a failing test pays for no later one.
     """
     n = len(gens)
     memo = {}
@@ -310,11 +313,9 @@ def _overlaps(p, gens, mult, collect):
             memo[letters] = collect(letters)
         return memo[letters]
 
-    for k in range(2, n):
-        for j in range(1, k):
-            for i in range(j):
-                yield (("assoc", k, j, i), mult(word((k, 1), (j, 1)), gens[i]),
-                       mult(gens[k], word((j, 1), (i, 1))))
+    for i in range(n):
+        yield (("power_self", i), mult(gens[i], word((i, p))),
+               mult(word((i, p)), gens[i]))
     for j in range(1, n):
         for i in range(j):
             yield (("power_left", j, i), mult(word((j, p)), gens[i]),
@@ -323,9 +324,11 @@ def _overlaps(p, gens, mult, collect):
         for i in range(j):
             yield (("power_right", j, i), mult(gens[j], word((i, p))),
                    mult(word((j, 1), (i, 1)), word((i, p - 1))))
-    for i in range(n):
-        yield (("power_self", i), mult(gens[i], word((i, p))),
-               mult(word((i, p)), gens[i]))
+    for k in range(2, n):
+        for j in range(1, k):
+            for i in range(j):
+                yield (("assoc", k, j, i), mult(word((k, 1), (j, 1)), gens[i]),
+                       mult(gens[k], word((j, 1), (i, 1))))
 
 
 # The covering presentation adjoins one central tail to every rule of a

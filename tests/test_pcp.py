@@ -2,6 +2,7 @@
 series machinery, quotients, and abelian invariants."""
 
 import functools
+import itertools
 from unittest import mock
 
 import pytest
@@ -409,6 +410,14 @@ def _reference_overlaps(p, gens, mult, collect):
         yield ("power_self", i), mult(gens[i], gp[i]), mult(gp[i], gens[i])
 
 
+# _overlaps yields the blocks smallest first, each in the reference order
+BLOCK_ORDER = ("power_self", "power_left", "power_right", "assoc")
+
+
+def _in_block_order(overlaps):
+    return sorted(overlaps, key=lambda test: BLOCK_ORDER.index(test[0][0]))
+
+
 def _with_reference_collector(P):
     """A copy of P whose arithmetic runs _reference_collect_into."""
     R = PcPresentation(P.p, P.ngens, P.power, P.comm, check_consistent=False)
@@ -479,10 +488,10 @@ def test_overlaps_match_the_reference_enumeration(data):
         P = _draw_candidate(data)
     R = _with_reference_collector(P)
     reference = list(_reference_overlaps(R.p, R.gens(), R.mult, R.collect))
-    assert list(P.consistency_checks()) == reference
+    assert list(P.consistency_checks()) == _in_block_order(reference)
     assert P.is_consistent() == all(lhs == rhs for _, lhs, rhs in reference)
     assert (_tailed_overlaps(P, _overlaps)
-            == _tailed_overlaps(R, _reference_overlaps))
+            == _in_block_order(_tailed_overlaps(R, _reference_overlaps)))
 
 
 def _collector_calls(P, run):
@@ -504,14 +513,51 @@ def test_consistency_collector_call_counts():
     assert _collector_calls(catalog.g6(), tails_system) == 210
 
 
+def _candidates(p, n):
+    """Every chief-series candidate presentation of order p^n, unchecked."""
+    def words(low):
+        for exps in itertools.product(range(p), repeat=n - 1 - low):
+            yield tuple((g, e) for g, e in enumerate(exps, low + 1) if e)
+
+    pairs = [(j, i) for j in range(1, n) for i in range(j)]
+    for power in itertools.product(*[list(words(i)) for i in range(n)]):
+        for comms in itertools.product(*[list(words(j)) for j, _ in pairs]):
+            yield PcPresentation(p, n, power, dict(zip(pairs, comms)),
+                                 check_consistent=False)
+
+
+def test_rejection_collector_call_counts():
+    # Exact counts over the full candidate spaces of orders 16 (808 of
+    # 1,024 rejected) and 125 (400 of 625), where most candidates fail a
+    # power test: a count that grows means the check reaches the cubic
+    # assoc block before the power tests again.
+    for (p, n), calls in {(2, 4): 17968, (5, 3): 7725}.items():
+        assert sum(_collector_calls(P, PcPresentation.is_consistent)
+                   for P in _candidates(p, n)) == calls
+
+
+def test_inconsistent_associativity_rejected():
+    # every power test holds; the only failing overlap is ("assoc", 3, 1, 0)
+    power = [((4, 1),), (), (), (), ()]
+    comm = {(1, 0): ((2, 1), (4, 1)), (3, 0): ((4, 1),), (3, 2): ((4, 1),)}
+    P = PcPresentation(2, 5, power, comm, check_consistent=False)
+    assert [tag for tag, lhs, rhs in P.consistency_checks()
+            if lhs != rhs] == [("assoc", 3, 1, 0)]
+    with pytest.raises(ValueError):
+        PcPresentation(2, 5, power, comm)
+
+
 def test_collector_rejects_out_of_range_generators():
     P = catalog.g6()
     for g in (P.ngens, -1):
-        with pytest.raises(IndexError, match="out of range"):
-            P.collect(((g, 1),))
-        with pytest.raises(IndexError, match="out of range"):
-            P._collect_into([0] * P.ngens, ((g, 1),),
-                            [0] * _tail_count(P.ngens))
+        for e in (1, 0):
+            with pytest.raises(IndexError, match="out of range"):
+                P.collect(((g, e),))
+            with pytest.raises(IndexError, match="out of range"):
+                P._collect_into([0] * P.ngens, ((g, e),),
+                                [0] * _tail_count(P.ngens))
+    with pytest.raises(IndexError, match="out of range"):
+        P.collect(((-1, 0), (0, 1)))
 
 
 def test_check_prime_matches_trial_division():
