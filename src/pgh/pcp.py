@@ -131,7 +131,7 @@ class PcPresentation:
     def gen(self, i):
         if not (0 <= i < self.ngens):
             raise IndexError(f"generator index {i} out of range")
-        return tuple(1 if j == i else 0 for j in range(self.ngens))
+        return self._identity[:i] + (1,) + self._identity[i + 1:]
 
     def gens(self):
         return [self.gen(i) for i in range(self.ngens)]
@@ -467,14 +467,6 @@ class Subgroup:
                 x = self.amb.mult(x, self.amb.pow(b, c))
         return x
 
-    def elements(self):
-        """All elements (only sensible for small subgroups)."""
-        out = [self.amb.identity()]
-        for b in self.basis:
-            powers = [self.amb.pow(b, e) for e in range(self.amb.p)]
-            out = [self.amb.mult(x, q) for x in out for q in powers]
-        return out
-
     def leading_indices(self):
         return [_leading(b) for b in self.basis]
 
@@ -482,11 +474,14 @@ class Subgroup:
         return all(other.contains(b) for b in self.basis)
 
     def __eq__(self, other):
+        """Equal as subgroups of one presentation, whatever their bases."""
         return (isinstance(other, Subgroup) and self.amb is other.amb
-                and self.basis == other.basis)
+                and self.leading_indices() == other.leading_indices()
+                and self.issubset(other))
 
     def __hash__(self):
-        return hash((id(self.amb), self.basis))
+        # the leading indices of a subgroup do not depend on its basis
+        return hash((id(self.amb), tuple(self.leading_indices())))
 
     def __repr__(self):
         return f"Subgroup(order={self.amb.p}^{len(self.basis)})"
@@ -567,7 +562,7 @@ def lower_central_series(P):
     while current.basis:
         gens = [P.commutator(b, g) for b in current.basis for g in P.gens()]
         nxt = subgroup_closure(P, gens, normal=True)
-        if nxt.basis == current.basis:
+        if nxt.order == current.order:    # nxt <= current
             raise AssertionError("lower central series does not terminate")
         series.append(nxt)
         current = nxt
@@ -589,70 +584,60 @@ def nilpotency_class(P):
 
 @per_presentation
 def center(P):
-    """The center, by induction along the chain of prime central layers.
+    """The center Z(G), as the kernel of a linear map on each layer of
+    the pc series (see `_central_part`).
 
-    Works layer by layer over GF(p); no element enumeration, so it scales
-    to stem covers of order up to ~3^17.
+    Each layer costs one echelon form over GF(p), plus d commutators for
+    each basis element that the layer changes, where d is the number of
+    Burnside generators; no subgroup is closed.
+    """
+    return _central_part(P, P.gens())
+
+
+def _central_part(P, basis):
+    """Z(G) & S, for S given by an induced pcgs `basis` (echelon form,
+    leading exponents 1).
+
+    With H_k = <g_k, ..., g_N>, the basis spans S_k = {x in S : [x, G] <=
+    H_k}, starting at S_0 = S.  H_k/H_(k+1) is central in G/H_(k+1), so on
+    S_k the map x -> ([x, g] mod H_(k+1))_g is a homomorphism into
+    (H_k/H_(k+1))^d with kernel S_(k+1); it is one in g as well, so the
+    Burnside generators g suffice.  The images are echelonized from the
+    last basis element up.  When the image of b_j is that of w, a product
+    of pivots from later elements, w^-1 b_j keeps b_j's leading index and
+    exponent 1.  These m - rank kernel elements, one per leading index of
+    S_(k+1), are an induced pcgs of it.  Each element keeps its
+    commutators with the g until it changes.
     """
     p = P.p
-    n = P.ngens
-    gens = P.gens()
-    current = full_subgroup(P)
-    for k in range(n):
-        if not current.basis:
-            break
-        # current = {x : [x, G] <= H_k}; refine to [x, G] <= H_{k+1}
-        rows = []
-        for b in current.basis:
-            row = []
-            for g in gens:
-                c = P.commutator(b, g)
-                assert not any(c[:k]), "central series invariant violated"
-                row.append(c[k])
-            rows.append(row)
-        null = _left_nullspace_mod_p(rows, p)
-        new_gens = [current.from_coords(v) for v in null]
-        new_gens += [P.pow(b, p) for b in current.basis]
-        for s in range(len(current.basis)):
-            for t in range(s + 1, len(current.basis)):
-                new_gens.append(P.commutator(current.basis[s], current.basis[t]))
-        current = subgroup_closure(P, new_gens)
-        assert len(current.basis) == len(null), "center layer computation failed"
-    return current
-
-
-def _left_nullspace_mod_p(rows, p):
-    """Basis of {v : v * rows = 0 mod p}; rows is m x q."""
-    m = len(rows)
-    if m == 0:
-        return []
-    q = len(rows[0])
-    # transpose and row-reduce: solve rows^T * v = 0
-    mat = [[rows[i][j] % p for i in range(m)] for j in range(q)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, q) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(q):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [0] * m
-        v[fcol] = 1
-        for rr, pcol in enumerate(pivots):
-            v[pcol] = (-mat[rr][fcol]) % p
-        basis.append(tuple(v))
-    return basis
+    identity = P.identity()
+    phi = set(frattini_subgroup(P).leading_indices())
+    gens = [P.gen(i) for i in range(P.ngens) if i not in phi]
+    current = [(b, [P.commutator(b, g) for g in gens]) for b in basis]
+    for k in range(P.ngens):
+        pivots = []     # (column, row, element whose image is row, 1/row[column])
+        kept = []
+        for b, comms in reversed(current):
+            row = [c[k] for c in comms]
+            w = identity
+            for col, prow, x, inv in pivots:
+                f = row[col] * inv % p
+                if f:
+                    row = [(r - f * s) % p for r, s in zip(row, prow)]
+                    w = P.mult(w, P.pow(x, f))
+            if w != identity:
+                b = P.solve(w, b)
+            col = next((i for i, r in enumerate(row) if r), None)
+            if col is not None:
+                pivots.append((col, row, b, pow(row[col], -1, p)))
+            else:
+                if w != identity:
+                    comms = [P.commutator(b, g) for g in gens]
+                kept.append((b, comms))
+        current = kept[::-1]
+    assert all(c == identity for _, comms in current for c in comms), \
+        "center layer computation failed"
+    return Subgroup(P, [b for b, _ in current])
 
 
 def is_normal(P, N):

@@ -15,10 +15,10 @@ from fractions import Fraction
 from . import catalog
 from .capability import is_capable
 from .homology import schur_multiplier, stem_cover
-from .pcp import (abelian_invariants, center, derived_subgroup,
-                  frattini_subgroup, full_subgroup, log_p,
+from .pcp import (AbelianSection, _central_part, abelian_invariants, center,
+                  derived_subgroup, frattini_subgroup, full_subgroup, log_p,
                   lower_central_series, per_presentation, quotient,
-                  structure_stats, subgroup_closure, trivial_subgroup)
+                  structure_stats, subgroup_closure)
 
 
 def _doubled(n, k, d):
@@ -251,16 +251,12 @@ class QuotientAttainmentReport:
 
 
 def _central_derived_elementary_layer(P):
-    """The subgroup of central elements of order <= p inside G'."""
-    derived = derived_subgroup(P)
-    gens = P.gens()
-    members = [x for x in derived.elements()
-               if P.pow(x, P.p) == P.identity()
-               and all(P.commutator(x, g) == P.identity() for g in gens)]
-    members = [x for x in members if x != P.identity()]
-    if not members:
-        return trivial_subgroup(P)
-    return subgroup_closure(P, members)
+    """Omega_1(Z(G) & G'), the central elements of order <= p inside G':
+    the closure of r^(d/p) over the invariant generators r of Z(G) & G',
+    of orders d."""
+    section = AbelianSection(P, _central_part(P, derived_subgroup(P).basis))
+    return subgroup_closure(P, [P.pow(r, d // P.p) for r, d in
+                                zip(section.representatives(), section.divisors)])
 
 
 def check_quotient_attainment(P):

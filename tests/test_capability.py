@@ -7,7 +7,8 @@ from pgh.capability import (epicenter, epicenter_crosscheck, exterior_pair,
                             is_capable)
 from pgh.cli import _catalog_groups
 from pgh.homology import stem_cover
-from pgh.pcp import center, derived_subgroup, subgroup_closure
+from pgh.pcp import derived_subgroup, subgroup_closure
+from test_pcp import _center_reference
 
 
 @pytest.mark.parametrize("builder", [
@@ -88,9 +89,10 @@ def test_epicenter_cover_independent(builder):
 
 
 def _epicenter_reference(cover):
-    """proj(Z(E)), by taking the center of the whole stem cover."""
-    return subgroup_closure(cover.base,
-                            [cover.project(b) for b in center(cover.E).basis])
+    """proj(Z(E)), by taking the center of the whole stem cover with the
+    closure-based reference, not pcp.center."""
+    return subgroup_closure(cover.base, [cover.project(b) for b in
+                                         _center_reference(cover.E).basis])
 
 
 @pytest.fixture(scope="module")

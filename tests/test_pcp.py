@@ -3,21 +3,23 @@ series machinery, quotients, and abelian invariants."""
 
 import functools
 import itertools
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgh import catalog, homology
+from pgh import catalog, homology, pcp
+from pgh.cli import _catalog_groups
 from pgh.homology import stem_cover, tails_system
-from pgh.pcp import (AbelianType, PcPresentation, _leading, _overlaps,
-                     _tail_count, _tail_slot, abelian_invariants,
+from pgh.pcp import (AbelianType, PcPresentation, Subgroup, _leading,
+                     _overlaps, _tail_count, _tail_slot, abelian_invariants,
                      abelianization_type, center, check_prime,
                      derived_subgroup, direct_product, frattini_subgroup,
                      full_subgroup, log_p, lower_central_series,
                      nilpotency_class, quotient, structure_stats,
-                     subgroup_closure, trivial_subgroup)
+                     subgroup_closure)
 
 SMALL_TABLES = [P for p in (2, 3, 5) for e in (3, 4)
                 for P in catalog.small_group_table(p, e)]
@@ -116,6 +118,17 @@ def test_subgroup_closure_normal(e1):
     normal = subgroup_closure(e1, [e1.gen(0)], normal=True)
     assert sub.order == 3
     assert normal.order == 9
+
+
+def test_subgroups_compare_by_content():
+    P = catalog.elementary_abelian(3, 2)
+    a, b = P.gen(0), P.gen(1)
+    ab = P.mult(a, b)
+    assert Subgroup(P, [a, b]) == Subgroup(P, [ab, b])
+    assert hash(Subgroup(P, [a, b])) == hash(Subgroup(P, [ab, b]))
+    assert Subgroup(P, [a]) != Subgroup(P, [ab])
+    assert Subgroup(P, [b]) != Subgroup(P, [a])
+    assert Subgroup(P, [a]) != Subgroup(catalog.elementary_abelian(3, 2), [a])
 
 
 def test_subgroup_membership(e1):
@@ -594,3 +607,133 @@ def test_log_p():
     assert [log_p(v, 3) for v in (1, 3, 9, 3 ** 20)] == [0, 1, 2, 20]
     with pytest.raises(ValueError):
         log_p(12, 2)
+
+
+# -- the center before it became a kernel (pcp.center and
+# pcp._left_nullspace_mod_p, verbatim but for their names)
+
+
+def _center_reference(P):
+    """The center, by induction along the chain of prime central layers.
+
+    Works layer by layer over GF(p); no element enumeration, so it scales
+    to stem covers of order up to ~3^17.
+    """
+    p = P.p
+    n = P.ngens
+    gens = P.gens()
+    current = full_subgroup(P)
+    for k in range(n):
+        if not current.basis:
+            break
+        # current = {x : [x, G] <= H_k}; refine to [x, G] <= H_{k+1}
+        rows = []
+        for b in current.basis:
+            row = []
+            for g in gens:
+                c = P.commutator(b, g)
+                assert not any(c[:k]), "central series invariant violated"
+                row.append(c[k])
+            rows.append(row)
+        null = _reference_left_nullspace_mod_p(rows, p)
+        new_gens = [current.from_coords(v) for v in null]
+        new_gens += [P.pow(b, p) for b in current.basis]
+        for s in range(len(current.basis)):
+            for t in range(s + 1, len(current.basis)):
+                new_gens.append(P.commutator(current.basis[s], current.basis[t]))
+        current = subgroup_closure(P, new_gens)
+        assert len(current.basis) == len(null), "center layer computation failed"
+    return current
+
+
+def _reference_left_nullspace_mod_p(rows, p):
+    """Basis of {v : v * rows = 0 mod p}; rows is m x q."""
+    m = len(rows)
+    if m == 0:
+        return []
+    q = len(rows[0])
+    # transpose and row-reduce: solve rows^T * v = 0
+    mat = [[rows[i][j] % p for i in range(m)] for j in range(q)]
+    pivots = []
+    r = 0
+    for col in range(m):
+        piv = next((i for i in range(r, q) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(q):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(m) if c not in pivots]
+    basis = []
+    for fcol in free:
+        v = [0] * m
+        v[fcol] = 1
+        for rr, pcol in enumerate(pivots):
+            v[pcol] = (-mat[rr][fcol]) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def _scrambled(P, seed):
+    """P on the pc generators h_i = g_i * (a random element of
+    <g_(i+1), ..., g_N>).  The catalog's generators make most central
+    elements pc generators; these do not."""
+    rng = random.Random(seed)
+    n = P.ngens
+    hs = [P.mult(P.gen(i), (0,) * (i + 1) + tuple(
+        rng.randrange(P.p) for _ in range(n - i - 1))) for i in range(n)]
+    pcgs = Subgroup(P, hs)
+
+    def word(x):
+        return tuple((j, e) for j, e in enumerate(pcgs.coords(x)) if e)
+
+    return PcPresentation(P.p, n, [word(P.pow(h, P.p)) for h in hs],
+                          {(j, i): word(P.commutator(hs[j], hs[i]))
+                           for j in range(n) for i in range(j)})
+
+
+def test_center_matches_the_reference():
+    groups = [(f"order {p}^{e} #{i}", P) for p in (2, 3, 5) for e in (3, 4)
+              for i, P in enumerate(catalog.small_group_table(p, e))]
+    groups += [(f"{name} at p = {p}", P) for p in (2, 3, 5)
+               for name, P in _catalog_groups(p, deep=True)]
+    groups += [("G4(3,4)", catalog.g4(3, 4)), ("G1(3,9)", catalog.g1(3, 9)),
+               ("homocyclic(3,3,4)", catalog.homocyclic(3, 3, 4)),
+               ("EA(3,8)", catalog.elementary_abelian(3, 8))]
+    groups += [(f"stem cover of {name}", stem_cover(P).E) for name, P in
+               (("G4(3,2)", catalog.g4(3, 2)), ("G5(3)", catalog.g5(3)))]
+    groups += [(f"{name}, scrambled", _scrambled(P, seed))
+               for seed, (name, P) in enumerate(groups)]
+    for name, P in groups:
+        Z, R = center(P), _center_reference(P)
+        assert Z.order == R.order and Z.issubset(R) and R.issubset(Z), name
+        assert Z == R, name
+        for z in Z.basis:
+            for g in P.gens():
+                assert P.commutator(z, g) == P.identity(), name
+    # not vacuous: centers strictly between 1 and G occur
+    assert any(1 < center(P).order < P.order for _, P in groups)
+
+
+def test_center_commutator_call_counts():
+    # Exact counts of one cold center(), with the Frattini subgroup (which
+    # picks the Burnside generators) computed first; a change that moves a
+    # count updates it here and says why in CHANGES.md.  center() closes
+    # no subgroup.
+    for build, calls in [(lambda: catalog.homocyclic(3, 3, 4), 48),
+                         (lambda: catalog.g4(3, 4), 24),
+                         (lambda: catalog.g1(3, 9), 72),
+                         (catalog.g6, 21)]:
+        P = build()
+        frattini_subgroup(P)
+        with mock.patch.object(P, "commutator", wraps=P.commutator) as comm, \
+                mock.patch.object(pcp, "subgroup_closure",
+                                  wraps=pcp.subgroup_closure) as closure:
+            center(P)
+        assert (comm.call_count, closure.call_count) == (calls, 0)

@@ -1,11 +1,15 @@
 """Bound formulas, attainment reports, family matching, quotient
 attainment, and the classification sweep."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from pgh import catalog, verify
+from pgh.cli import _catalog_groups
+from pgh.pcp import derived_subgroup, subgroup_closure
+from test_pcp import _scrambled
 
 
 # -- bounds ----------------------------------------------------------
@@ -149,6 +153,30 @@ def test_conditions_inapplicable_pass():
 
 
 # -- quotient attainment ---------------------------------------------
+
+
+def _layer_reference(P):
+    """Omega_1(Z(G) & G') from the list of all elements of G'."""
+    derived = derived_subgroup(P)
+    members = [derived.from_coords(c) for c in
+               itertools.product(range(P.p), repeat=derived.log_order)]
+    return subgroup_closure(P, [
+        x for x in members if P.pow(x, P.p) == P.identity()
+        and all(P.commutator(x, g) == P.identity() for g in P.gens())])
+
+
+def test_central_derived_layer_matches_the_element_list():
+    groups = [P for p in (2, 3, 5) for e in (3, 4)
+              for P in catalog.small_group_table(p, e)]
+    groups += [P for p in (2, 3, 5) for _, P in _catalog_groups(p, deep=True)]
+    groups += [_scrambled(P, seed) for seed, P in enumerate(groups)]
+    orders = set()
+    for P in groups:
+        layer = verify._central_derived_elementary_layer(P)
+        assert layer == _layer_reference(P), P.describe()
+        orders.add(layer.order)
+    # not vacuous: layers of order 1, p and above p occur
+    assert len(orders) >= 4
 
 
 def test_quotient_attainment_g4():

@@ -2,7 +2,8 @@
 
     python3 tools/record_bench.py --out BENCH_8.json \
         --checkout parent=../parent --checkout change=. \
-        --workload enumerate_p4 --seeds 801 802 --seconds 25 --trace 0
+        --workload enumerate_p4 verify_suites --seeds 801 802 \
+        --seconds 25 --trace 0
 
 For each seed it runs `python3 perfbench/run.py` unchanged in every
 checkout, alternating which one runs first, and appends one record per run
@@ -57,7 +58,8 @@ def main():
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--checkout", action="append", required=True,
                         help="NAME=PATH, once per checkout, in pair order")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--workload", action="extend", nargs="+",
+                        choices=WORKLOADS, help="default: all four")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
