@@ -263,7 +263,42 @@ class PcPresentation:
         yield from _overlaps(self.p, self.gens(), self.mult, self.collect)
 
     def is_consistent(self):
-        return all(lhs == rhs for _, lhs, rhs in self.consistency_checks())
+        """True when the presentation E defines a group of order p^N.
+
+        Only the overlaps among g_1 ... g_c run, where g_c is the last
+        generator with a commutator rule (c = 0 when there is none).  No
+        rule has one of g_(c+1) ... g_N on its left-hand side, so they form
+        a central block B, and their power words lie in B, since a rule
+        word only uses later generators.  The p-cover and p-quotient
+        algorithms skip the same overlaps (Vaughan-Lee, "An aspect of the
+        nilpotent quotient algorithm", 1984; Newman-O'Brien, J. Symb.
+        Comput. 21, 1996).
+
+        Lemma: E is consistent iff its overlaps among g_1 ... g_c hold.
+        If E is consistent, every element has one normal form, so every
+        overlap holds.  Conversely:
+        (a) Deleting the letters of B turns each rule of g_1 ... g_c into
+            the rule of the quotient presentation Q on g_1 ... g_c and each
+            rule of B into the empty word.  A letter of B is only ever
+            moved past letters of B, and E's collector applies the rules
+            that Q's collector applies, each with its tail in B.  So
+            deletion commutes with collection, the overlaps of Q hold, and
+            Q is consistent: |Q| = p^c.
+        (b) B alone presents an abelian group A whose relation matrix is
+            triangular with p on the diagonal, so |A| = p^(N-c).
+        (c) As Q is consistent, the group E defines is an extension of Q
+            by A/R, where R is the image in A of the relations the overlaps
+            of Q impose on free tails (the rows of `tails_system`): the
+            cocycle conditions.  By (a) the image of such a row is the
+            quotient of the two sides of its overlap, collected in E.  So
+            R = 0 iff the overlaps among g_1 ... g_c hold in E.
+        Then |E| = p^c p^(N-c) = p^N, and the overlaps that involve a
+        letter of B hold as well.
+        """
+        c = 1 + max((j for j, _ in self.comm), default=-1)
+        gens = [self.gen(i) for i in range(c)]
+        return all(lhs == rhs for _, lhs, rhs in
+                   _overlaps(self.p, gens, self.mult, self.collect))
 
     # -- misc ----------------------------------------------------------
 

@@ -519,11 +519,21 @@ def test_consistency_collector_call_counts():
     # could mean a skipped overlap, fails too.  A change that moves a count
     # updates it here and says why in CHANGES.md.
     assert sum(_collector_calls(P, PcPresentation.is_consistent)
-               for P in catalog.small_group_table(3, 4)) == 810
+               for P in catalog.small_group_table(3, 4)) == 194
     E = stem_cover(catalog.g4(3, 3)).E
-    assert _collector_calls(E, PcPresentation.is_consistent) == 1495
-    assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 203
+    assert _collector_calls(E, PcPresentation.is_consistent) == 384
+    assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 139
     assert _collector_calls(catalog.g6(), tails_system) == 210
+
+
+def test_cold_stem_cover_collector_calls():
+    # every _collect_into call of building G4(3,3) and its stem cover:
+    # the tails system of G, and E's consistency check, derived subgroup
+    # and assertions; same rule as the gate above
+    with mock.patch.object(PcPresentation, "_collect_into", autospec=True,
+                           side_effect=PcPresentation._collect_into) as calls:
+        stem_cover(catalog.g4(3, 3))
+    assert calls.call_count == 2278
 
 
 def _candidates(p, n):
@@ -544,9 +554,16 @@ def test_rejection_collector_call_counts():
     # 1,024 rejected) and 125 (400 of 625), where most candidates fail a
     # power test: a count that grows means the check reaches the cubic
     # assoc block before the power tests again.
-    for (p, n), calls in {(2, 4): 17968, (5, 3): 7725}.items():
+    for (p, n), calls in {(2, 4): 8448, (5, 3): 2500}.items():
         assert sum(_collector_calls(P, PcPresentation.is_consistent)
                    for P in _candidates(p, n)) == calls
+
+
+def _overlap_generators(P):
+    """How many generators is_consistent() runs the overlap tests over."""
+    with mock.patch.object(pcp, "_overlaps", wraps=pcp._overlaps) as overlaps:
+        P.is_consistent()
+    return len(overlaps.call_args.args[1])
 
 
 def test_inconsistent_associativity_rejected():
@@ -554,10 +571,111 @@ def test_inconsistent_associativity_rejected():
     power = [((4, 1),), (), (), (), ()]
     comm = {(1, 0): ((2, 1), (4, 1)), (3, 0): ((4, 1),), (3, 2): ((4, 1),)}
     P = PcPresentation(2, 5, power, comm, check_consistent=False)
+    # [g_4, g_3] is the last commutator rule, so the check runs over
+    # g_1 ... g_4, which the failing overlap lies in
+    assert _overlap_generators(P) == 4
     assert [tag for tag, lhs, rhs in P.consistency_checks()
             if lhs != rhs] == [("assoc", 3, 1, 0)]
     with pytest.raises(ValueError):
         PcPresentation(2, 5, power, comm)
+
+
+def _full_check(P):
+    """The verdict of every overlap test, the central block's included."""
+    return all(lhs == rhs for _, lhs, rhs in P.consistency_checks())
+
+
+@pytest.mark.slow
+def test_central_block_check_matches_the_full_check_on_all_candidates():
+    # the whole candidate spaces of orders 16, 125 and 81 (60,698
+    # presentations); 3,546 of them are consistent
+    verdicts = [(P.is_consistent(), _full_check(P))
+                for p, n in ((2, 4), (5, 3), (3, 4)) for P in _candidates(p, n)]
+    assert len(verdicts) == 60698
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    assert sum(full for _, full in verdicts) == 3546
+
+
+def _add_letter(word, g, e, p):
+    """The rule word `word` with the exponent of g_g raised by e, mod p."""
+    exps = dict(word)
+    exps[g] = (exps.get(g, 0) + e) % p
+    return tuple((h, f) for h, f in sorted(exps.items()) if f)
+
+
+@functools.cache
+def _block_covers():
+    """(E, c) for stem covers E whose generators from c on span M."""
+    covers = []
+    for G in (catalog.g4(3, 3), catalog.g5(3), catalog.g6(), catalog.g1(3, 5)):
+        E = stem_cover(G).E
+        c = 1 + max(j for j, _ in E.comm)
+        assert c == G.ngens < E.ngens
+        covers.append((E, c))
+    return covers
+
+
+def test_central_block_deletion_commutes_with_collection():
+    # step (a) of the lemma in PcPresentation.is_consistent: E collects a
+    # word of the first c generators as the quotient Q collects it, times
+    # the tails in M of the rules Q's collector applied
+    rng = random.Random(7)
+    for E, c in _block_covers():
+        def base(w):
+            return tuple((g, e) for g, e in w if g < c)
+
+        def tail(w):
+            return E.collect([(g, e) for g, e in w if g >= c])
+
+        Q = PcPresentation(E.p, c, [base(w) for w in E.power[:c]],
+                           {key: base(w) for key, w in E.comm.items()})
+        tails = [tail(E.power[i]) for i in range(c)]
+        tails += [tail(E.comm.get((j, i), ())) for j in range(1, c)
+                  for i in range(j)]
+        assert len(tails) == _tail_count(c)
+        for _ in range(100):
+            word = [(rng.randrange(c), rng.randrange(-2 * E.p, 2 * E.p))
+                    for _ in range(rng.randrange(10))]
+            vec, counts = [0] * c, [0] * len(tails)
+            Q._collect_into(vec, word, counts)
+            x = tuple(vec) + (0,) * (E.ngens - c)
+            for t, k in zip(tails, counts):
+                x = E.mult(x, E.pow(t, k))
+            assert E.collect(word) == x
+
+
+def test_central_block_check_matches_the_full_check_on_cover_mutants():
+    # a random letter of the central block (here, of M) added to one rule
+    # of the base generators of a stem cover; most mutants are inconsistent
+    rng = random.Random(11)
+    verdicts = []
+    for E, c in _block_covers():
+        rules = list(range(c)) + [(j, i) for j in range(1, c)
+                                  for i in range(j)]
+        for rule in rules:
+            for _ in range(3):
+                power, comm = list(E.power), dict(E.comm)
+                g, e = rng.randrange(c, E.ngens), rng.randrange(1, E.p)
+                if isinstance(rule, int):
+                    power[rule] = _add_letter(power[rule], g, e, E.p)
+                else:
+                    comm[rule] = _add_letter(comm.get(rule, ()), g, e, E.p)
+                M = PcPresentation(E.p, E.ngens, power, comm,
+                                   check_consistent=False)
+                verdicts.append((M.is_consistent(), _full_check(M)))
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    assert 0 < sum(full for _, full in verdicts) < len(verdicts)
+
+
+def test_consistency_check_stops_at_the_last_commutator_rule():
+    # no commutator rule: every generator is in the central block
+    P = catalog.homocyclic(3, 3, 4)
+    assert _overlap_generators(P) == 0
+    assert _collector_calls(P, PcPresentation.is_consistent) == 0
+    assert P.is_consistent()
+    # [g_N, g_i] = 1 always, since its word could only use later
+    # generators, so at most g_1 ... g_(N-1) are tested
+    assert _overlap_generators(catalog.g6()) == 6
 
 
 def test_collector_rejects_out_of_range_generators():
