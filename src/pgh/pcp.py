@@ -792,7 +792,28 @@ def abelian_invariants(P, N, M=None):
 
 
 def abelianization_type(P):
-    return abelian_invariants(P, full_subgroup(P), derived_subgroup(P))
+    """G/G' from the abelianised relation matrix of the presentation.
+
+    Abelianising a pc presentation turns g_i^p = w into the row
+    p*e_i - eps(w) and [g_j, g_i] = w into the row eps(w), where eps(w)
+    is the exponent-sum vector of w; G/G' is the cokernel of these rows.
+    No subgroup is closed and no element is collected.
+    """
+    n = P.ngens
+    rows = []
+    for i, w in enumerate(P.power):
+        row = [0] * n
+        row[i] = P.p
+        for g, e in w:
+            row[g] -= e
+        rows.append(row)
+    for w in P.comm.values():
+        row = [0] * n
+        for g, e in w:
+            row[g] += e
+        rows.append(row)
+    return AbelianType.from_divisors(
+        smith_normal_form(rows, ncols=n).diagonal)
 
 
 # -- structure stats -------------------------------------------------

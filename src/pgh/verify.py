@@ -120,7 +120,11 @@ def _family_candidates(P, st):
 
 
 def family_match(P):
-    """Fingerprint match of P against the classified attainer families."""
+    """Fingerprint match of P against the classified attainer families.
+
+    A candidate with P's own presentation is P, so it matches without
+    being fingerprinted.
+    """
     st = structure_stats(P)
     fp = _fingerprint(P)
     for tag, build in _family_candidates(P, st):
@@ -128,7 +132,8 @@ def family_match(P):
             candidate = build()
         except catalog.FamilyParameterError:
             continue
-        if _fingerprint(candidate) == fp:
+        if ((candidate.p, candidate.power, candidate.comm)
+                == (P.p, P.power, P.comm) or _fingerprint(candidate) == fp):
             return tag
     return None
 

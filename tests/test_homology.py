@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgh import catalog
-from pgh.homology import (abelian_multiplier, be_sequence,
-                          exterior_square_order, psi2_image, psi3_image,
-                          schur_multiplier, stem_cover, tails_system,
-                          tensor_abelian, thm25_check)
-from pgh.pcp import (AbelianType, abelianization_type, center,
-                     derived_subgroup, direct_product, log_p,
+from pgh.homology import (_check_stem_extension, abelian_multiplier,
+                          be_sequence, exterior_square_order, psi2_image,
+                          psi3_image, schur_multiplier, stem_cover,
+                          tails_system, tensor_abelian, thm25_check)
+from pgh.pcp import (AbelianType, PcPresentation, abelianization_type,
+                     center, derived_subgroup, direct_product, log_p,
                      nilpotency_class, structure_stats, subgroup_closure)
 from pgh.verify import sweep_universe
 
@@ -151,6 +151,8 @@ def test_stem_cover_invariants(builder, variant):
     der = derived_subgroup(cover.E)
     for b in cover.M.basis:
         assert der.contains(b)
+        for g in cover.E.gens():
+            assert cover.E.commutator(b, g) == cover.E.identity()
     # projection is a homomorphism on generator products
     for x in P.gens():
         for y in P.gens():
@@ -234,7 +236,6 @@ def test_wedge_inequality_rejects_high_class():
     power = [(), ((2, 1),), ((3, 1),), ((4, 1),), ()]
     comm = {(1, 0): ((2, 1), (3, 1), (4, 1)), (2, 0): ((3, 1), (4, 1)),
             (3, 0): ((4, 1),)}
-    from pgh.pcp import PcPresentation
     P = PcPresentation(2, 5, power, comm)
     assert nilpotency_class(P) == 4
     with pytest.raises(ValueError):
@@ -271,3 +272,40 @@ def test_tails_systems_and_stem_covers_are_byte_identical():
             h.update(catalog.serialize(stem_cover(P, variant).E).encode())
     assert count == 82
     assert h.hexdigest() == TAILS_AND_COVERS_SHA256
+
+
+# -- stem-cover self-checks -------------------------------------------
+
+
+def test_stem_extension_checks_agree_with_the_closure_route():
+    # stem_cover reads M <= E' and M <= Z(E) off the presentation; here
+    # the derived subgroup is closed and every [b, g] is collected instead
+    for P in _digest_groups():
+        for variant in (0, 1):
+            cover = stem_cover(P, variant)
+            E = cover.E
+            der = derived_subgroup(E)
+            assert abelianization_type(E).order * der.order == E.order
+            assert cover.M.issubset(der)
+            for b in cover.M.basis:
+                for g in E.gens():
+                    assert E.commutator(b, g) == E.identity()
+
+
+def test_stem_extension_checks_reject_mutants():
+    # G = C_3^3; E is the free class-2 group on three generators, and M
+    # is spanned by its last three generators [g2, g1], [g3, g1], [g3, g2]
+    P = catalog.elementary_abelian(3, 3)
+    E = stem_cover(P).E
+    assert (P.ngens, E.ngens) == (3, 6)
+    _check_stem_extension(P, E)
+    # E x C_3: the extra central generator has no tail, so M is not in E'
+    wider = direct_product(E, catalog.cyclic(3, 1))
+    assert not derived_subgroup(wider).contains(wider.gen(6))
+    with pytest.raises(AssertionError, match="M is not contained in E'"):
+        _check_stem_extension(P, wider)
+    # [g4, g1] = g5 added (a consistent presentation): M is not central
+    bad = PcPresentation(3, 6, E.power, {**E.comm, (3, 0): ((4, 1),)})
+    assert bad.commutator(bad.gen(3), bad.gen(0)) == bad.gen(4)
+    with pytest.raises(AssertionError, match="M is not central in E"):
+        _check_stem_extension(P, bad)

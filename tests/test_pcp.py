@@ -528,12 +528,29 @@ def test_consistency_collector_call_counts():
 
 def test_cold_stem_cover_collector_calls():
     # every _collect_into call of building G4(3,3) and its stem cover:
-    # the tails system of G, and E's consistency check, derived subgroup
-    # and assertions; same rule as the gate above
+    # G's consistency check and tails system, E's consistency check, and
+    # the projection check; M <= E' and M <= Z(E) are read off the
+    # presentation and collect nothing.  Same rule as the gate above.
     with mock.patch.object(PcPresentation, "_collect_into", autospec=True,
                            side_effect=PcPresentation._collect_into) as calls:
         stem_cover(catalog.g4(3, 3))
-    assert calls.call_count == 2278
+    assert calls.call_count == 1204
+
+
+def test_abelianization_type_matches_the_closure_route():
+    covers = [stem_cover(G).E for G in (
+        catalog.g1(3, 5), catalog.g2(3, 2), catalog.g3(3), catalog.g4(3, 2),
+        catalog.g5(3), catalog.g6())]
+    products = [direct_product(G, H) for G, H in (
+        (catalog.dihedral8(), catalog.cyclic(2, 2)),
+        (catalog.quaternion8(), catalog.homocyclic(2, 2, 2)),
+        (catalog.extraspecial_e1(3), catalog.g2(3, 2)),
+        (catalog.extraspecial_e1(5), catalog.cyclic(5, 2)))]
+    scrambled = [_scrambled(P, seed)
+                 for seed, P in enumerate(covers + products)]
+    for P in SMALL_TABLES + covers + products + scrambled:
+        assert abelianization_type(P) == abelian_invariants(
+            P, full_subgroup(P), derived_subgroup(P)), P.describe()
 
 
 def _candidates(p, n):

@@ -3,10 +3,11 @@ attainment, and the classification sweep."""
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from pgh import catalog, verify
+from pgh import catalog, homology, verify
 from pgh.cli import _catalog_groups
 from pgh.pcp import derived_subgroup, subgroup_closure
 from test_pcp import _scrambled
@@ -95,7 +96,21 @@ def test_report_invariants_hold_across_catalog():
     (lambda: catalog.g5(3), "G5(p=3)"),
 ])
 def test_family_match_positive(builder, tag):
-    assert verify.family_match(builder()) == tag
+    P = builder()
+    assert verify.family_match(P) == tag
+    # a different presentation of the group is matched by its fingerprint
+    Q = _scrambled(P, 1)
+    assert (Q.power, Q.comm) != (P.power, P.comm)
+    assert verify.family_match(Q) == tag
+
+
+def test_report_builds_one_tails_system():
+    # G4(3,3) is its own family candidate, which family_match recognises
+    # by its presentation, without a second tails system for the candidate
+    with mock.patch.object(homology, "TailsSystem",
+                           wraps=homology.TailsSystem) as built:
+        assert verify.report(catalog.g4(3, 3)).family_match == "G4(p=3,m=3)"
+    assert built.call_count == 1
 
 
 @pytest.mark.slow
