@@ -3,12 +3,14 @@ capability, evaluate the bound formulas, and run the verification
 suites with deterministic text/JSON/CSV output.
 
 Exit codes: 0 success, 1 check failure, 2 parse or parameter error,
-3 computation assertion failure.
+3 computation assertion failure, 141 stdout closed by its reader (128 +
+SIGPIPE, the code a shell gives a process that SIGPIPE ends).
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import catalog, verify
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
+EXIT_BROKEN_PIPE = 141
 
 _PARAM_FLAGS = ("m", "n", "rank", "exponent", "index")
 
@@ -367,7 +370,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`pgh ... | head`): point stdout at devnull
+        # so that the interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (CliInputError, FamilyParameterError, PresentationFormatError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ ones the consistency check enumerates (`pcp._overlaps`).
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .pcp import (AbelianSection, AbelianType, PcPresentation, Subgroup,
@@ -55,28 +56,39 @@ def tails_system(P):
     n = P.ngens
     ntails = _tail_count(n)
 
+    # tails are sparse counters: most rules never fire in one collection
     def collect(word):
-        vec, tails = [0] * n, [0] * ntails
+        vec, tails = [0] * n, defaultdict(int)
         P._collect_into(vec, word, tails)
-        return tuple(vec), tuple(tails)
+        return tuple(vec), tails
 
     def mult(x, y):
         vec = list(x[0])
-        tails = [a + b for a, b in zip(x[1], y[1])]
+        tails = defaultdict(int, x[1])
+        for slot, c in y[1].items():
+            tails[slot] += c
         P._collect_into(vec, [(i, e) for i, e in enumerate(y[0]) if e], tails)
-        return tuple(vec), tuple(tails)
+        return tuple(vec), tails
 
-    # one dict per block, used as an ordered set, in the order of the rows
+    # one dict per block, used as an ordered set, in the order of the rows;
+    # a row is keyed by its sorted (slot, value) nonzeros
     blocks = {tag: {} for tag in ("assoc", "power_left", "power_right",
                                   "power_self")}
     gens = [collect(((i, 1),)) for i in range(n)]
     for tag, lhs, rhs in _overlaps(P.p, gens, mult, collect):
         assert lhs[0] == rhs[0], "tailed overlap disagrees on the base group"
-        row = tuple(a - b for a, b in zip(lhs[1], rhs[1]))
-        if any(row):
+        diff = defaultdict(int, lhs[1])
+        for slot, c in rhs[1].items():
+            diff[slot] -= c
+        row = tuple(sorted((slot, c) for slot, c in diff.items() if c))
+        if row:
             blocks[tag[0]][row] = None
-    rows = [list(row) for row in dict.fromkeys(
-        row for block in blocks.values() for row in block)]
+    rows = []
+    for row in dict.fromkeys(row for block in blocks.values() for row in block):
+        dense = [0] * ntails
+        for slot, c in row:
+            dense[slot] = c
+        rows.append(dense)
 
     snf = smith_normal_form(rows, ncols=ntails)
     if snf.cokernel_free_rank() != n:

@@ -142,9 +142,10 @@ class PcPresentation:
     def _collect_into(self, vec, word, tails=None):
         """Multiply the normal form `vec` (a list, modified in place) by `word`.
 
-        With a `tails` list, collection runs in the covering presentation,
-        whose rules each carry one central tail (laid out by `_tail_slot`),
-        and `tails` counts in place the tails of the rules applied.
+        With `tails`, collection runs in the covering presentation, whose
+        rules each carry one central tail (laid out by `_tail_slot`), and
+        `tails` counts in place the tails of the rules applied.  It is any
+        counter indexed by slot: a list, or a `defaultdict(int)`.
         """
         p = self.p
         n = self.ngens
@@ -832,13 +833,22 @@ class StructureStats:
 
 @per_presentation
 def structure_stats(P):
+    """n, k, d, the class and G/G' of P.
+
+    G/G' is read off the relation matrix (`abelianization_type`) and
+    cross-checked against |G'|.  d is its rank: by the Burnside basis
+    theorem G/Phi(G) = (G/G')/(G/G')^p.
+    """
     derived = derived_subgroup(P)
-    frat = frattini_subgroup(P)
-    qt = abelian_invariants(P, full_subgroup(P), derived)
+    qt = abelianization_type(P)
+    k = len(derived.basis)
+    if log_p(qt.order, P.p) + k != P.ngens:
+        raise AssertionError(f"|G/G'| = {qt.order} and |G'| = p^{k} do not "
+                             f"multiply to |G| = p^{P.ngens}")
     return StructureStats(
         n=P.ngens,
-        k=len(derived.basis),
-        d=P.ngens - len(frat.basis),
+        k=k,
+        d=qt.rank,
         nilpotency_class=nilpotency_class(P),
         quotient_type=qt,
         quotient_exponent=qt.exponent,

@@ -1,10 +1,14 @@
 """Exact Smith normal form over the integers, with transformation matrices.
 
-Matrices are plain lists of lists of Python ints, so there is no overflow
-to worry about.  The reduction keeps the transformation matrices U and V
-with U * A * V = D, and V^-1 beside V.  The matrices met here are mostly
-zeros, so every step skips zero entries.  At the end U * A * V is
-re-multiplied over the nonzeros and every entry is compared with D.
+Matrices come in and go out as plain lists of lists of Python ints, so
+there is no overflow to worry about.  The reduction keeps the
+transformation matrices U and V with U * A * V = D, and V^-1 beside V.
+The matrices met here are almost all zeros, so while it runs A, U and
+V^-1 are sparse rows and V is sparse columns: {index: value} dicts that
+never hold a zero.  An index from each column of A to the rows with a
+nonzero there lets a column operation touch only those rows.  At the end
+U * A * V is re-multiplied from the dense U and V over the nonzeros and
+every entry is compared with D.
 """
 
 
@@ -24,6 +28,35 @@ def mat_mul(a, b):
                 for j, y in b_nonzero[k]:
                     acc[j] += x * y
         out.append(acc)
+    return out
+
+
+def _add_scaled(dst, src, mult):
+    """dst += mult * src on sparse vectors, for a nonzero mult; entries
+    that cancel are dropped."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + mult * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _dense(vectors, width):
+    out = []
+    for vec in vectors:
+        row = [0] * width
+        for k, x in vec.items():
+            row[k] = x
+        out.append(row)
+    return out
+
+
+def _dense_columns(columns, height):
+    out = [[0] * len(columns) for _ in range(height)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            out[i][j] = x
     return out
 
 
@@ -67,86 +100,127 @@ def smith_normal_form(matrix, ncols=None):
         if not matrix:
             raise ValueError("ncols is required for a matrix with no rows")
         ncols = len(matrix[0])
-    a = [list(row) for row in matrix]
-    for row in a:
+    for row in matrix:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    u = identity_matrix(nrows)
-    v = identity_matrix(ncols)
-    v_inv = identity_matrix(ncols)
+    a = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    col_rows = [set() for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j in row:
+            col_rows[j].add(i)
+    u = [{i: 1} for i in range(nrows)]
+    v = [{j: 1} for j in range(ncols)]      # the columns of V
+    v_inv = [{j: 1} for j in range(ncols)]
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
+        if i == j:
+            return
+        ai, aj = a[i], a[j]
+        for k in ai.keys() - aj.keys():
+            rows = col_rows[k]
+            rows.remove(i)
+            rows.add(j)
+        for k in aj.keys() - ai.keys():
+            rows = col_rows[k]
+            rows.remove(j)
+            rows.add(i)
+        a[i], a[j] = aj, ai
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if i == j:
+            return
+        for r in col_rows[i] | col_rows[j]:
+            row = a[r]
+            x = row.pop(i, 0)
+            y = row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        col_rows[i], col_rows[j] = col_rows[j], col_rows[i]
+        v[i], v[j] = v[j], v[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, mult):
-        for m in (a, u):
-            drow = m[dst]
-            for idx, x in enumerate(m[src]):
-                if x:
-                    drow[idx] += mult * x
+        if not mult:
+            return
+        drow = a[dst]
+        for k, x in a[src].items():
+            old = drow.get(k, 0)
+            y = old + mult * x
+            if y:
+                drow[k] = y
+                if not old:
+                    col_rows[k].add(dst)
+            else:
+                del drow[k]
+                col_rows[k].remove(dst)
+        _add_scaled(u[dst], u[src], mult)
 
     def add_col(src, dst, mult):
         # column dst += mult * column src on V is, on V^-1, the row
         # operation row src -= mult * row dst
-        for m in (a, v):
-            for row in m:
-                x = row[src]
-                if x:
-                    row[dst] += mult * x
-        srow = v_inv[src]
-        for idx, x in enumerate(v_inv[dst]):
-            if x:
-                srow[idx] -= mult * x
+        if not mult:
+            return
+        dst_rows = col_rows[dst]
+        for r in col_rows[src]:
+            row = a[r]
+            old = row.get(dst, 0)
+            y = old + mult * row[src]
+            if y:
+                row[dst] = y
+                if not old:
+                    dst_rows.add(r)
+            else:
+                del row[dst]
+                dst_rows.remove(r)
+        _add_scaled(v[dst], v[src], mult)
+        _add_scaled(v_inv[src], v_inv[dst], -mult)
 
     def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        a[i] = {k: -x for k, x in a[i].items()}
+        u[i] = {k: -x for k, x in u[i].items()}
 
     t = 0
     limit = min(nrows, ncols)
     while t < limit:
         # locate the smallest-magnitude nonzero pivot in the trailing block,
-        # first in row-major order; nothing is smaller than a unit
+        # first in row-major order; nothing is smaller than a unit.  Rows
+        # from t on have no nonzero left of column t.
         pivot = None
         best = 0
         for i in range(t, nrows):
-            mags = list(map(abs, a[i][t:]))
-            val = min(filter(None, mags), default=0)
-            if val and (not best or val < best):
-                best = val
-                pivot = (i, t + mags.index(val))
-                if best == 1:
-                    break
+            row = a[i]
+            if row:
+                val = min(map(abs, row.values()))
+                if not best or val < best:
+                    best = val
+                    pivot = i
+                    if best == 1:
+                        break
         if pivot is None:
             break
-        pi, pj = pivot
-        swap_rows(t, pi)
+        pj = min(j for j, x in a[pivot].items() if abs(x) == best)
+        swap_rows(t, pivot)
         swap_cols(t, pj)
-        # clear the pivot row and column; repeat until both are clean
+        # clear the pivot row and column; repeat until both are clean.  An
+        # operation for row (column) i changes no later row (column) of the
+        # pass, so each pass can list its rows (columns) at the start.
         while True:
             progressed = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        progressed = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        progressed = True
+            for i in sorted(r for r in col_rows[t] if r > t):
+                q = a[i][t] // a[t][t]
+                add_row(t, i, -q)
+                if t in a[i]:
+                    swap_rows(t, i)
+                    progressed = True
+            for j in sorted(k for k in a[t] if k > t):
+                q = a[t][j] // a[t][t]
+                add_col(t, j, -q)
+                if j in a[t]:
+                    swap_cols(t, j)
+                    progressed = True
             if not progressed:
                 break
         if a[t][t] < 0:
@@ -164,32 +238,35 @@ def smith_normal_form(matrix, ncols=None):
                 add_col(i + 1, i, 1)
                 # re-clear the 2x2 block
                 while True:
-                    x, y = a[i][i], a[i + 1][i]
+                    x, y = a[i][i], a[i + 1].get(i, 0)
                     if not y:
                         break
                     q = y // x
                     add_row(i, i + 1, -q)
-                    if a[i + 1][i]:
+                    if i in a[i + 1]:
                         swap_rows(i, i + 1)
                 while True:
-                    x, y = a[i][i], a[i][i + 1]
+                    x, y = a[i][i], a[i].get(i + 1, 0)
                     if not y:
                         break
                     q = y // x
                     add_col(i, i + 1, -q)
-                    if a[i][i + 1]:
+                    if i + 1 in a[i]:
                         swap_cols(i, i + 1)
                 if a[i][i] < 0:
                     negate_row(i)
                 if a[i + 1][i + 1] < 0:
                     negate_row(i + 1)
 
-    diagonal = [a[i][i] for i in range(t) if a[i][i]]
+    diagonal = [a[i][i] for i in range(t) if a[i].get(i)]
     # free the reduced matrix before the check builds two products of its size
-    del a
+    del a, col_rows
     for x, y in zip(diagonal, diagonal[1:]):
         if y % x:
             raise AssertionError("divisibility chain violated")
+    u = _dense(u, nrows)
+    v = _dense_columns(v, ncols)
+    v_inv = _dense(v_inv, ncols)
     d = mat_mul(mat_mul(u, matrix), v)
     for i, row in enumerate(d):
         expected = [0] * ncols

@@ -59,12 +59,16 @@ def declared_scripts():
     return scripts
 
 
+def module_env():
+    """The environment in which `python -m pgh` imports this package."""
+    path = [str(Path(pgh.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def run_module(*argv, cwd, timeout=None):
     """Run `python -m pgh` as a separate process on the imported package."""
-    path = [str(Path(pgh.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, "-m", "pgh", *argv],
-                          capture_output=True, env=env, cwd=cwd,
+                          capture_output=True, env=module_env(), cwd=cwd,
                           timeout=timeout)
 
 
@@ -182,6 +186,54 @@ def test_verify_jobs_output_matches_serial():
     pooled = run_cli("verify", "--suite", "sweep", "--p", "3", "--jobs", "2")
     assert serial[0] == 0
     assert pooled == serial
+
+
+GROUP_G4_14 = ("group", "--family", "G4", "--p", "3", "--m", "14")
+BOUNDS = ("bounds", "--n", "3", "--k", "1", "--d", "2")
+
+
+def run_into_pipe(argv, unbuffered, read_first):
+    """Run `python -m pgh argv` into a pipe whose reader closes its end,
+    after reading one byte or before pgh writes anything; returns the
+    exit code and stderr."""
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_fd, write_fd = os.pipe()
+    if read_first:
+        # a pipe of one page, so pgh is still writing when the reader goes
+        import fcntl
+        size = fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        assert 4 * size < len(run_cli(*argv)[1])
+    else:
+        os.close(read_fd)
+    proc = subprocess.Popen([sys.executable, "-m", "pgh", *argv],
+                            stdout=write_fd, stderr=subprocess.PIPE, env=env)
+    os.close(write_fd)
+    if read_first:
+        assert len(os.read(read_fd, 1)) == 1
+        os.close(read_fd)
+    stderr = proc.communicate(timeout=60)[1].decode()
+    return proc.returncode, stderr
+
+
+@pytest.mark.parametrize("argv,unbuffered,read_first", [
+    # `pgh group ... | head -c 1`: a write fails part way through
+    pytest.param(GROUP_G4_14, False, True, marks=pytest.mark.skipif(
+        not hasattr(__import__("fcntl"), "F_SETPIPE_SZ"),
+        reason="needs a pipe whose size can be set")),
+    # the output fits the buffer, so only the final flush fails
+    (BOUNDS, False, False),
+    # every write goes straight to the pipe.  Closing the reader cuts an
+    # unbuffered write short without an error, so the reader closes first.
+    (GROUP_G4_14, True, False),
+], ids=["buffered-after-one-byte", "buffered-flush", "unbuffered-write"])
+def test_reader_closing_stdout_gives_no_traceback(argv, unbuffered,
+                                                  read_first):
+    code, stderr = run_into_pipe(argv, unbuffered, read_first)
+    assert code == cli.EXIT_BROKEN_PIPE
+    assert stderr == ""
 
 
 MALFORMED = {

@@ -118,6 +118,14 @@ def test_abelian_multiplier_closed_form_at_rank_32():
     assert M.divisors == (3,) * 496
 
 
+def test_elementary_abelian_multiplier_at_rank_20():
+    # no entry of its sparse 190 x 210 tails matrix is a unit, so every
+    # pivot search reads the whole trailing block
+    P = catalog.elementary_abelian(3, 20)
+    assert schur_multiplier(P) == abelian_multiplier(
+        AbelianType.from_divisors([3] * 20))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_kunneth_direct_products(p):
     # [DERIVED] Kunneth: M(G x H) = M(G) + M(H) + (G^ab (x) H^ab)

@@ -551,6 +551,19 @@ def test_abelianization_type_matches_the_closure_route():
     for P in SMALL_TABLES + covers + products + scrambled:
         assert abelianization_type(P) == abelian_invariants(
             P, full_subgroup(P), derived_subgroup(P)), P.describe()
+        # structure_stats takes d as the rank of G/G' (Burnside)
+        assert structure_stats(P).d == P.ngens - len(
+            frattini_subgroup(P).basis), P.describe()
+
+
+def test_structure_stats_checks_the_quotient_against_the_derived_subgroup(
+        monkeypatch):
+    def one_divisor_short(P):
+        return AbelianType.from_divisors(abelianization_type(P).divisors[1:])
+
+    monkeypatch.setattr(pcp, "abelianization_type", one_divisor_short)
+    with pytest.raises(AssertionError, match="do not multiply"):
+        structure_stats(catalog.g2(3, 2))
 
 
 def _candidates(p, n):
