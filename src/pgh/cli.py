@@ -20,7 +20,7 @@ from .homology import (abelian_multiplier, be_sequence,
                        central_quotient_section, schur_multiplier, stem_cover,
                        thm25_check)
 from .pcp import (AbelianType, derived_subgroup, direct_product, log_p,
-                  structure_stats)
+                  shared_presentations, structure_stats)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -294,9 +294,14 @@ _SUITES = {
 def cmd_verify(args, out):
     if args.p not in (2, 3, 5):
         raise CliInputError(f"verify supports p in 2, 3, 5; got {args.p}")
+    if args.jobs < 1:
+        raise CliInputError(f"--jobs must be at least 1; got {args.jobs}")
     rows = []
-    for fn in _SUITES[args.suite]:
-        rows.extend(fn(args.p, args.deep, args.jobs))
+    # the suites rebuild the same groups (the catalog instances, G1-G6 in
+    # the sweep, the family candidates): each is built and computed once
+    with shared_presentations():
+        for fn in _SUITES[args.suite]:
+            rows.extend(fn(args.p, args.deep, args.jobs))
     failed = [r for r in rows if not r[1]]
     if args.format == "json":
         out.write(json.dumps({

@@ -13,6 +13,8 @@ off once x * g_1^z_1 ... g_(i-1)^z_(i-1) agrees with y below i, since
 <g_i, ..., g_N> is a subgroup and normal forms are unique.
 """
 
+import contextlib
+import contextvars
 import functools
 import inspect
 from dataclasses import dataclass, field
@@ -84,11 +86,58 @@ def log_p(value, p):
     return e
 
 
-class PcPresentation:
+# The presentations built inside the innermost `shared_presentations()`
+# block, by content key; None outside every block.
+_shared = contextvars.ContextVar("pgh.pcp.shared", default=None)
+
+
+@contextlib.contextmanager
+def shared_presentations():
+    """Within the block, an equal construction returns the earlier object.
+
+    Equal means the same p, generator count, power words, commutator
+    rules and labels.  The invariants stored on a presentation then serve
+    every later construction of it.  The table is dropped when the block
+    ends, by return or by exception; outside every block each construction
+    builds a new object.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+class _SharedWithinBlock(type):
+    """Construction that looks up `shared_presentations()`'s table first.
+
+    Unpickling calls `cls.__new__(cls)` directly and never gets here, so
+    an unpickled presentation is always a new object.
+    """
+
+    def __call__(cls, p, ngens, power=None, comm=None, labels=None,
+                 check_consistent=True):
+        table = _shared.get()
+        if table is None:
+            return type.__call__(cls, p, ngens, power, comm, labels,
+                                 check_consistent)
+        P = type.__call__(cls, p, ngens, power, comm, labels, False)
+        key = P._content_key()
+        P = table.get(key, P)
+        if check_consistent and not P._checked:
+            P._check_consistency()
+        table[key] = P
+        return P
+
+
+class PcPresentation(metaclass=_SharedWithinBlock):
     """A consistent polycyclic presentation with prime relative orders.
 
     A presentation is never mutated after construction; the invariants
-    computed by `per_presentation` functions are stored on it.
+    computed by `per_presentation` functions are stored on it.  Inside a
+    `shared_presentations()` block one object stands for every equal
+    construction, so its users hold it in common: a mutation would reach
+    all of them, and so would a stale stored invariant.
     """
 
     def __init__(self, p, ngens, power=None, comm=None, labels=None,
@@ -116,8 +165,19 @@ class PcPresentation:
             _validate_word(w, j, ngens, p)
         self._identity = (0,) * ngens
         self._memo = {}
-        if check_consistent and not self.is_consistent():
+        self._checked = False
+        if check_consistent:
+            self._check_consistency()
+
+    def _check_consistency(self):
+        if not self.is_consistent():
             raise ValueError("presentation fails the consistency check")
+        self._checked = True
+
+    def _content_key(self):
+        """What equal presentations share: the content `__init__` stores."""
+        return (self.p, self.ngens, self.power,
+                frozenset(self.comm.items()), frozenset(self.labels.items()))
 
     # -- basic element arithmetic -------------------------------------
 

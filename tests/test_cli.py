@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import pgh
 from pgh import catalog, cli
+from pgh.pcp import PcPresentation
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -182,10 +183,50 @@ def test_entry_point_installed(tmp_path):
 
 
 def test_verify_jobs_output_matches_serial():
-    serial = run_cli("verify", "--suite", "sweep", "--p", "3", "--jobs", "1")
-    pooled = run_cli("verify", "--suite", "sweep", "--p", "3", "--jobs", "2")
-    assert serial[0] == 0
-    assert pooled == serial
+    # with --suite all the workers receive pickled presentations that the
+    # run shares with its other suites
+    for suite in ("sweep", "all"):
+        serial = run_cli("verify", "--suite", suite, "--p", "3", "--jobs", "1")
+        pooled = run_cli("verify", "--suite", suite, "--p", "3", "--jobs", "2")
+        assert serial[0] == 0
+        assert pooled == serial
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_exit_2(jobs, capsys):
+    code, out = run_cli("verify", "--suite", "sweep", "--p", "3",
+                        "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert (capsys.readouterr().err
+            == f"error: --jobs must be at least 1; got {jobs}\n")
+
+
+def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
+        monkeypatch):
+    # One run builds each distinct presentation once and computes its
+    # invariants once.  Same rule as the gates in test_pcp.py: a change
+    # that moves the count updates it here and says why in CHANGES.md.  A
+    # second identical run repeats all of the work, so nothing survives a
+    # run.
+    calls = [0]
+    collect_into = PcPresentation._collect_into
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return collect_into(self, *args, **kwargs)
+
+    monkeypatch.setattr(PcPresentation, "_collect_into", counting)
+    argv = ("verify", "--suite", "all", "--p", "3", "--deep", "--format",
+            "json")
+    runs = []
+    for _ in range(2):
+        calls[0] = 0
+        runs.append((run_cli(*argv), calls[0]))
+    (code, out), count = runs[0]
+    assert code == 0 and json.loads(out)["failed"] == 0
+    assert count == 42883
+    assert runs[1] == runs[0]
 
 
 GROUP_G4_14 = ("group", "--family", "G4", "--p", "3", "--m", "14")

@@ -4,13 +4,15 @@ import gc
 import pickle
 import weakref
 
+from unittest import mock
+
 import pytest
 
-from pgh import catalog, verify
+from pgh import catalog, pcp, verify
 from pgh.homology import stem_cover, tails_system
 from pgh.pcp import (PcPresentation, center, derived_subgroup,
                      frattini_subgroup, lower_central_series,
-                     per_presentation, structure_stats)
+                     per_presentation, shared_presentations, structure_stats)
 
 MEMOIZED = (derived_subgroup, lower_central_series, frattini_subgroup,
             center, structure_stats, tails_system, stem_cover, verify.report)
@@ -85,3 +87,110 @@ def test_presentation_with_stored_invariants_pickles():
     Q = pickle.loads(pickle.dumps(P))
     assert verify.report(Q) == rep
     assert verify.report(_fresh(Q)) == rep
+
+
+# -- equal presentations shared within a block ---------------------------
+
+# g1^3 = g2 must commute with g1, but [g2, g1] = g3: fails the check
+INCONSISTENT = (3, 3, [((1, 1),), (), ()], {(1, 0): ((2, 1),)})
+
+
+def _content(P):
+    return (P.p, P.ngens, P.power, P.comm, P.labels)
+
+
+def test_equal_content_inside_the_block_gives_one_object():
+    with shared_presentations():
+        P = catalog.g2(3, 2)
+        rep = verify.report(P)
+        Q = catalog.g2(3, 2)
+        assert Q is P
+        assert _fresh(P) is P
+        # the comm dict's order is not part of the content
+        assert PcPresentation(P.p, P.ngens, P.power,
+                              dict(reversed(list(P.comm.items()))),
+                              P.labels) is P
+        assert verify.report(Q) is rep
+
+
+def test_different_labels_give_different_objects():
+    with shared_presentations():
+        P = catalog.g2(3, 2)
+        Q = PcPresentation(P.p, P.ngens, P.power, P.comm, {0: "x"})
+        assert Q is not P
+        assert PcPresentation(P.p, P.ngens, P.power, P.comm) is not P
+        assert PcPresentation(P.p, P.ngens, P.power, P.comm, {0: "x"}) is Q
+
+
+def test_outside_the_block_every_construction_is_new():
+    P = catalog.g2(3, 2)
+    verify.report(P)
+    Q = catalog.g2(3, 2)
+    assert Q is not P
+    assert Q._memo == {}
+    with shared_presentations():
+        assert catalog.g2(3, 2) is not P
+    R = catalog.g2(3, 2)
+    assert R is not P and R is not Q and R._memo == {}
+
+
+def test_inconsistent_presentation_raises_every_time_and_is_not_stored():
+    with shared_presentations():
+        for _ in range(3):
+            with pytest.raises(ValueError, match="consistency check"):
+                PcPresentation(*INCONSISTENT)
+        assert pcp._shared.get() == {}
+
+
+def test_unchecked_object_runs_the_check_when_requested_checked():
+    G = catalog.g3(3)
+    args = (G.p, G.ngens, G.power, G.comm, G.labels)
+    with shared_presentations():
+        bad = PcPresentation(*INCONSISTENT, check_consistent=False)
+        assert PcPresentation(*INCONSISTENT, check_consistent=False) is bad
+        for _ in range(2):
+            with pytest.raises(ValueError, match="consistency check"):
+                PcPresentation(*INCONSISTENT)
+
+        with mock.patch.object(
+                PcPresentation, "is_consistent", autospec=True,
+                side_effect=PcPresentation.is_consistent) as run:
+            P = PcPresentation(*args, check_consistent=False)
+            assert run.call_count == 0
+            assert PcPresentation(*args) is P
+            assert run.call_count == 1
+            # checked once, so a later checked request does not run it again
+            assert PcPresentation(*args) is P
+            assert PcPresentation(*args, check_consistent=False) is P
+            assert run.call_count == 1
+
+
+def test_the_block_is_reset_after_an_exception():
+    assert pcp._shared.get() is None
+    with pytest.raises(RuntimeError):
+        with shared_presentations():
+            P = catalog.g3(3)
+            assert catalog.g3(3) is P
+            raise RuntimeError("inside the block")
+    assert pcp._shared.get() is None
+    assert catalog.g3(3) is not catalog.g3(3)
+
+
+def test_blocks_nest_and_restore_the_outer_table():
+    with shared_presentations():
+        P = catalog.g3(3)
+        with shared_presentations():
+            assert catalog.g3(3) is not P
+        assert catalog.g3(3) is P
+
+
+def test_pickle_round_trip_of_a_shared_object_gives_a_fresh_equal_one():
+    with shared_presentations():
+        P = catalog.g5(3)
+        rep = verify.report(P)
+        Q = pickle.loads(pickle.dumps(P))
+        assert Q is not P
+        assert _content(Q) == _content(P)
+        assert verify.report(Q) == rep
+        # unpickling bypasses the table, which still holds P
+        assert catalog.g5(3) is P
