@@ -63,7 +63,7 @@ def epicenter(cover):
     zs = zsec.representatives()
     phi = set(frattini_subgroup(P).leading_indices())
     gs = [cover.lift(P.gen(i)) for i in range(P.ngens) if i not in phi]
-    msec = AbelianSection(E, cover.M)
+    msec = cover.multiplier_section
     N = max(msec.divisors, default=1)
     rows = []
     for z in zs:

@@ -472,7 +472,7 @@ def _parse_word(raw, where):
     word = []
     for pair in raw:
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(type(x) is int for x in pair)):
             raise PresentationFormatError(
                 f"{where}: each word entry must be [generator_index, exponent]")
         word.append((pair[0] - 1, pair[1]))
@@ -481,7 +481,7 @@ def _parse_word(raw, where):
 
 def _integer_fields(doc, keys):
     for key in keys:
-        if key not in doc or not isinstance(doc[key], int):
+        if key not in doc or type(doc[key]) is not int:
             raise PresentationFormatError(f"missing or non-integer field {key!r}")
 
 
@@ -552,5 +552,9 @@ def parse(text):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PresentationFormatError(str(exc)) from exc
+    return parse(text)

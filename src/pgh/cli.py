@@ -189,8 +189,8 @@ def _catalog_groups(p, deep):
     return groups
 
 
-def _suite_sweep(p, deep, jobs):
-    sw = verify.sweep_classification(p, max_exponent=4, deep=deep, jobs=jobs)
+def _suite_sweep(p, deep):
+    sw = verify.sweep_classification(p, max_exponent=4, deep=deep)
     rows = [
         ("sweep_attainers_equal_classified_families", sw.classification_ok,
          "attainers=" + "|".join(sw.attainers)),
@@ -204,7 +204,7 @@ def _suite_sweep(p, deep, jobs):
     return rows
 
 
-def _suite_paper(p, deep, jobs):
+def _suite_paper(p, deep):
     rows = []
     for name, P in _catalog_groups(p, deep):
         rep = verify.report(P)
@@ -220,7 +220,7 @@ def _suite_paper(p, deep, jobs):
     return rows
 
 
-def _suite_homology(p, deep, jobs):
+def _suite_homology(p, deep):
     rows = []
     samples = [(p ** 2, p), (p, p, p), (p ** 3, p ** 2), (p ** 2, p ** 2, p)]
     for divisors in samples:
@@ -251,7 +251,7 @@ def _suite_homology(p, deep, jobs):
     return rows
 
 
-def _suite_capability(p, deep, jobs):
+def _suite_capability(p, deep):
     rows = []
     crosschecked = 0
     for name, P in _catalog_groups(p, deep):
@@ -294,14 +294,12 @@ _SUITES = {
 def cmd_verify(args, out):
     if args.p not in (2, 3, 5):
         raise CliInputError(f"verify supports p in 2, 3, 5; got {args.p}")
-    if args.jobs < 1:
-        raise CliInputError(f"--jobs must be at least 1; got {args.jobs}")
     rows = []
     # the suites rebuild the same groups (the catalog instances, G1-G6 in
     # the sweep, the family candidates): each is built and computed once
     with shared_presentations():
         for fn in _SUITES[args.suite]:
-            rows.extend(fn(args.p, args.deep, args.jobs))
+            rows.extend(fn(args.p, args.deep))
     failed = [r for r in rows if not r[1]]
     if args.format == "json":
         out.write(json.dumps({
@@ -363,7 +361,6 @@ def build_parser():
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--deep", action="store_true",
                      help="include the slowest checks")
-    sub.add_argument("--jobs", type=int, default=1)
     _add_common(sub)
     sub.set_defaults(fn=cmd_verify)
 
@@ -385,8 +382,8 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (CliInputError, FamilyParameterError, PresentationFormatError,
-            FileNotFoundError) as exc:
+    except (CliInputError, FamilyParameterError,
+            PresentationFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AssertionError as exc:

@@ -11,16 +11,16 @@ counts the tails in an optional accumulator, and the overlaps are the
 ones the consistency check enumerates (`pcp._overlaps`).
 """
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 from .pcp import (AbelianSection, AbelianType, PcPresentation, Subgroup,
-                  _overlaps, _tail_count, _tail_slot, abelian_invariants,
-                  abelianization_type, center, derived_subgroup,
-                  full_subgroup, log_p, lower_central_series,
-                  per_presentation, structure_stats, subgroup_closure,
-                  trivial_subgroup)
+                  _overlaps, _tail_count, _tail_slot, abelianization_type,
+                  center, derived_subgroup, full_subgroup, log_p,
+                  lower_central_series, per_presentation, structure_stats,
+                  subgroup_closure, trivial_subgroup)
 from .snf import smith_normal_form
 
 
@@ -137,8 +137,13 @@ class StemCover:
     def lift(self, x):
         return tuple(x) + (0,) * (self.E.ngens - self.base.ngens)
 
+    @functools.cached_property
+    def multiplier_section(self):
+        """M as an abelian section of E, built once per cover."""
+        return AbelianSection(self.E, self.M)
+
     def multiplier_type(self):
-        return abelian_invariants(self.E, self.M)
+        return self.multiplier_section.type
 
 
 def _base_p_word(value, chain, p):

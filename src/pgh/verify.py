@@ -7,7 +7,6 @@ order p^n with |G'| = p^k and d generators.  Attainment comparisons are
 done in doubled exponents so that odd products never force rounding.
 """
 
-import concurrent.futures
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,10 +14,11 @@ from fractions import Fraction
 from . import catalog
 from .capability import is_capable
 from .homology import schur_multiplier, stem_cover
-from .pcp import (AbelianSection, _central_part, abelian_invariants, center,
-                  derived_subgroup, frattini_subgroup, full_subgroup, log_p,
-                  lower_central_series, per_presentation, quotient,
-                  structure_stats, subgroup_closure)
+from .pcp import (AbelianSection, _central_part, abelian_invariants,
+                  abelianization_type, center, derived_subgroup,
+                  full_subgroup, log_p, lower_central_series,
+                  per_presentation, quotient, structure_stats,
+                  subgroup_closure)
 
 
 def _doubled(n, k, d):
@@ -218,7 +218,8 @@ def check_attainer_conditions(P):
         dtype = abelian_invariants(P, derived_subgroup(P))
         add("center_quotient_exponent", True, gq.exponent == dtype.exponent,
             f"e(G/Z) = {gq.exponent}, e(G') = {dtype.exponent}")
-        dq = _minimal_generators_of_quotient(P, z)
+        # d(G/Z) = rank of (G/Z)/(G/Z)' (Burnside basis theorem)
+        dq = abelianization_type(quotient(P, z)[0]).rank
         add("derived_rank_bound", True,
             dtype.rank <= dq * (dq - 1) // 2,
             f"d(G') = {dtype.rank}, d(G/Z) = {dq}")
@@ -237,12 +238,6 @@ def check_attainer_conditions(P):
     add("bound_monotonic", rep.d <= rep.n - rep.k,
         rep.rai_exponent <= rep.niroomand_exponent)
     return out
-
-
-def _minimal_generators_of_quotient(P, N):
-    """d(G/N) = log_p of (G/N) / Phi(G/N)."""
-    Q, _ = quotient(P, N)
-    return Q.ngens - frattini_subgroup(Q).log_order
 
 
 # -- quotient attainment ----------------------------------------------
@@ -356,21 +351,15 @@ def sweep_universe(p, max_exponent=4, deep=False):
     return groups
 
 
-def sweep_classification(p, max_exponent=4, deep=False, jobs=1):
+def sweep_classification(p, max_exponent=4, deep=False):
     """Verify that bound attainers are exactly the classified families.
 
     Also checks the class-2 classification for the refined (d = n-k)
     bound: class-2 attainers of that bound must fingerprint-match one of
     its three stated families (which coincide with G1, G3, G5 here).
     """
-    groups = sweep_universe(p, max_exponent, deep)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            reports = list(ex.map(report, [P for _, P in groups]))
-        entries = [SweepEntry(name, r)
-                   for (name, _), r in zip(groups, reports)]
-    else:
-        entries = [SweepEntry(name, report(P)) for name, P in groups]
+    entries = [SweepEntry(name, report(P))
+               for name, P in sweep_universe(p, max_exponent, deep)]
     attainers = tuple(e.name for e in entries if e.report.attains_rai)
     matches = tuple(e.name for e in entries if e.report.family_match)
     class2 = tuple(e.name for e in entries

@@ -104,6 +104,20 @@ def test_group_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_group_unreadable_file_exit_2(kind, tmp_path):
+    path = tmp_path / "group.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00")
+    proc = run_module("group", "--file", str(path), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_multiplier_json():
     code, out = run_cli("multiplier", "--family", "G2", "--p", "3",
                         "--m", "2", "--format", "json")
@@ -182,24 +196,24 @@ def test_entry_point_installed(tmp_path):
                       cwd=tmp_path).returncode == 2
 
 
-def test_verify_jobs_output_matches_serial():
-    # with --suite all the workers receive pickled presentations that the
-    # run shares with its other suites
-    for suite in ("sweep", "all"):
-        serial = run_cli("verify", "--suite", suite, "--p", "3", "--jobs", "1")
-        pooled = run_cli("verify", "--suite", suite, "--p", "3", "--jobs", "2")
-        assert serial[0] == 0
-        assert pooled == serial
+def test_verify_jobs_flag_is_a_usage_error(tmp_path):
+    # the sweep is serial; the parser rejects --jobs before any work
+    proc = run_module("verify", "--suite", "sweep", "--p", "3", "--jobs", "2",
+                      cwd=tmp_path, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"unrecognized arguments: --jobs 2" in proc.stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_exit_2(jobs, capsys):
-    code, out = run_cli("verify", "--suite", "sweep", "--p", "3",
-                        "--jobs", jobs)
-    assert code == 2
+    # no --jobs value is special any more: the parser rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--suite", "sweep", "--p", "3", "--jobs", jobs)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert (capsys.readouterr().err
-            == f"error: --jobs must be at least 1; got {jobs}\n")
+    assert f"unrecognized arguments: --jobs {jobs}\n" in err
 
 
 def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
@@ -225,7 +239,7 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
         runs.append((run_cli(*argv), calls[0]))
     (code, out), count = runs[0]
     assert code == 0 and json.loads(out)["failed"] == 0
-    assert count == 42883
+    assert count == 41929
     assert runs[1] == runs[0]
 
 
@@ -290,6 +304,9 @@ MALFORMED = {
     "huge_family_m": {"family": "G2", "p": 3, "m": 2000},
     "huge_family_exponent": {"family": "HOMOCYCLIC", "p": 3, "m": 1000000000,
                              "rank": 1},
+    "boolean_ngens": {"p": 2, "ngens": True},
+    "boolean_exponent": {"p": 3, "ngens": 2, "power": {"1": [[2, True]]}},
+    "boolean_family_m": {"family": "HOMOCYCLIC", "p": 3, "m": True, "rank": 2},
 }
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from pgh import catalog, homology, verify
 from pgh.cli import _catalog_groups
-from pgh.pcp import derived_subgroup, subgroup_closure
+from pgh.pcp import (abelianization_type, center, derived_subgroup,
+                     frattini_subgroup, quotient, subgroup_closure)
 from test_pcp import _scrambled
 
 
@@ -165,6 +166,27 @@ def test_conditions_inapplicable_pass():
     checks = verify.check_attainer_conditions(catalog.quaternion8())
     for c in checks:
         assert c.passed
+
+
+def _attainer_families(p):
+    if p == 2:
+        return [catalog.g2(2, 2)]
+    families = [catalog.g1(p, 4), catalog.g2(p, 2), catalog.g3(p),
+                catalog.g4(p, 2), catalog.g5(p)]
+    return families + [catalog.g6()] if p == 3 else families
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_central_quotient_generator_count_from_relation_matrix(p):
+    # d(G/Z) as the rank of (G/Z)/(G/Z)' against log_p |Q : Phi(Q)|
+    groups = [P for e in (3, 4) for P in catalog.small_group_table(p, e)]
+    for P in groups + _attainer_families(p):
+        Q, _ = quotient(P, center(P))
+        want = Q.ngens - frattini_subgroup(Q).log_order
+        assert abelianization_type(Q).rank == want, P.describe()
+        for check in verify.check_attainer_conditions(P):
+            if check.name == "derived_rank_bound":
+                assert check.detail.endswith(f"d(G/Z) = {want}")
 
 
 # -- quotient attainment ---------------------------------------------

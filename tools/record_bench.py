@@ -9,8 +9,10 @@ For each seed it runs `python3 perfbench/run.py` unchanged in every
 checkout, alternating which one runs first, and appends one record per run
 (checkout, workload, seed, trace, position in the pair and the result line)
 to the JSON list in --out, which is rewritten after every run.  At the end
-it prints, per workload, the median wall_s of each checkout over this
-run's seeds and in how many pairs each later checkout beat the first one.
+it prints, per workload and per end-to-end metric of BENCHMARK.json
+(wall_s, setup_s, peak_rss_mib), the median of each checkout over this
+run's seeds and in how many pairs each later checkout beat the first one,
+then the number of failed operations of each checkout.
 """
 
 import argparse
@@ -21,6 +23,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ["verify_suites", "large_groups", "cover_multiplier", "enumerate_p4"]
+END_TO_END = json.loads((Path(__file__).resolve().parents[1]
+                         / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def run(checkout, workload, seed, seconds, trace):
@@ -32,25 +36,37 @@ def run(checkout, workload, seed, seconds, trace):
 
 
 def summarize(records, names):
-    """Print, per workload, the median wall_s of each checkout and the pairs
-    (runs with the same seed) each later checkout won against names[0]."""
-    walls = {}
+    """Print, per workload, the median of each end-to-end metric of
+    BENCHMARK.json for each checkout, the pairs (runs with the same seed)
+    each later checkout won on it against names[0], and the sum of `failed`
+    per checkout."""
+    by_workload = {}
     for r in records:
-        wall = r["result"]["metrics"].get("wall_s")
-        if wall is not None:
-            walls.setdefault(r["workload"], {}).setdefault(
-                r["checkout"], {})[r["seed"]] = wall["value"]
-    for workload, by_name in walls.items():
-        line = [f"{workload}: median wall_s"]
-        for name in names:
-            if name in by_name:
-                line.append(f"{name} {statistics.median(by_name[name].values()):.3f}")
-        base = by_name.get(names[0], {})
-        for name in names[1:]:
-            seeds = base.keys() & by_name.get(name, {}).keys()
-            won = sum(by_name[name][s] < base[s] for s in seeds)
-            line.append(f"{name} won {won}/{len(seeds)}")
-        print("  ".join(line), flush=True)
+        by_workload.setdefault(r["workload"], []).append(r)
+    for workload, runs in by_workload.items():
+        for metric in END_TO_END:
+            values = {}
+            for r in runs:
+                m = r["result"]["metrics"].get(metric["name"])
+                if m is not None:
+                    values.setdefault(r["checkout"], {})[r["seed"]] = m["value"]
+            line = [f"{workload}: median {metric['name']}"]
+            for name in names:
+                if name in values:
+                    line.append(f"{name} {statistics.median(values[name].values()):.3f}")
+            base = values.get(names[0], {})
+            lower = metric["better"] == "lower"
+            for name in names[1:]:
+                seeds = base.keys() & values.get(name, {}).keys()
+                won = sum(values[name][s] < base[s] if lower
+                          else values[name][s] > base[s] for s in seeds)
+                line.append(f"{name} won {won}/{len(seeds)}")
+            print("  ".join(line), flush=True)
+        failed = {}
+        for r in runs:
+            failed[r["checkout"]] = failed.get(r["checkout"], 0) + r["result"]["failed"]
+        print(f"{workload}: failed  " + "  ".join(
+            f"{name} {failed[name]}" for name in names if name in failed), flush=True)
 
 
 def main():
