@@ -79,8 +79,8 @@ def epicenter(cover):
     for u, d in zip(snf.U, diag):
         scale = N // math.gcd(N, d)
         z = P.identity()
-        for zj, c, order in zip(zs, u, zsec.divisors):
-            z = P.mult(z, P.pow(zj, scale * c % order))
+        for j, (zj, order) in enumerate(zip(zs, zsec.divisors)):
+            z = P.mult(z, P.pow(zj, scale * u.get(j, 0) % order))
         gens.append(z)
     sub = subgroup_closure(P, gens)
     assert sub.issubset(zg), "epicenter escapes the center"

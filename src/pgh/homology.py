@@ -25,21 +25,24 @@ from .snf import smith_normal_form
 
 
 class TailsSystem:
-    """Relation matrix of the tailed covering presentation, with its SNF.
+    """Relation matrix of the tailed covering presentation, as sparse
+    {slot: value} rows, with what `stem_cover` reads of its SNF: the
+    diagonal and V, as sparse columns.
 
     The cokernel of the relation matrix is Z^N x M(G); the free rank is
     asserted equal to the generator count N.  It holds no reference to
     the presentation that stores it, so storing it creates no cycle.
     """
 
-    def __init__(self, tail_count, relation_matrix, snf):
+    def __init__(self, tail_count, relation_matrix, diagonal, V):
         self.tail_count = tail_count
         self.relation_matrix = relation_matrix
-        self.snf = snf
+        self.diagonal = diagonal
+        self.V = V
 
     @property
     def multiplier(self):
-        return AbelianType.from_divisors(self.snf.cokernel_torsion())
+        return AbelianType.from_divisors(self.diagonal)
 
 
 @per_presentation
@@ -83,18 +86,14 @@ def tails_system(P):
         row = tuple(sorted((slot, c) for slot, c in diff.items() if c))
         if row:
             blocks[tag[0]][row] = None
-    rows = []
-    for row in dict.fromkeys(row for block in blocks.values() for row in block):
-        dense = [0] * ntails
-        for slot, c in row:
-            dense[slot] = c
-        rows.append(dense)
+    rows = [dict(row) for row in
+            dict.fromkeys(row for block in blocks.values() for row in block)]
 
     snf = smith_normal_form(rows, ncols=ntails)
     if snf.cokernel_free_rank() != n:
         raise AssertionError(
             f"tails cokernel free rank {snf.cokernel_free_rank()} != {n}")
-    return TailsSystem(ntails, rows, snf)
+    return TailsSystem(ntails, rows, snf.diagonal, snf.V)
 
 
 def schur_multiplier(P):
@@ -171,12 +170,11 @@ def stem_cover(P, variant=0):
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
     ts = tails_system(P)
-    snf = ts.snf
     p = P.p
     n = P.ngens
-    diag = snf.diagonal
+    diag = ts.diagonal
     torsion = [(idx, d) for idx, d in enumerate(diag) if d > 1]
-    free0 = snf.rank if snf.rank < ts.tail_count else None
+    free0 = len(diag) if len(diag) < ts.tail_count else None
 
     # new central generators: one refined chain per torsion coordinate
     chains = []
@@ -186,15 +184,14 @@ def stem_cover(P, variant=0):
         chains.append(list(range(start, start + e)))
         start += e
     total = start
-    V = snf.V
 
     def tail_image(slot):
         """Word (over the new generators) of the image of tail t_slot in M."""
         word = []
         for (idx, d), chain in zip(torsion, chains):
-            v = V[slot][idx]
+            v = ts.V[idx].get(slot, 0)
             if variant == 1 and free0 is not None:
-                v += V[slot][free0]
+                v += ts.V[free0].get(slot, 0)
             v %= d
             word.extend(_base_p_word(v, chain, p))
         return tuple(word)

@@ -838,13 +838,15 @@ class AbelianSection:
     def coords(self, x):
         """Coordinates of x*M in the invariant decomposition."""
         c = self.N.coords(x)
-        z = [sum(c[i] * self.V[i][j] for i in range(len(c)))
-             for j in range(len(c))]
-        return tuple(z[idx] % d for idx, d in self.torsion)
+        return tuple(sum(c[i] * y for i, y in self.V[idx].items()) % d
+                     for idx, d in self.torsion)
 
     def representatives(self):
         """One element of N per invariant generator of the section."""
-        return [self.N.from_coords(self.Vinv[idx]) for idx, _ in self.torsion]
+        m = len(self.N.basis)
+        return [self.N.from_coords([self.Vinv[idx].get(j, 0)
+                                    for j in range(m)])
+                for idx, _ in self.torsion]
 
 
 def abelian_invariants(P, N, M=None):

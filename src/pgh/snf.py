@@ -1,33 +1,30 @@
 """Exact Smith normal form over the integers, with transformation matrices.
 
-Matrices come in and go out as plain lists of lists of Python ints, so
-there is no overflow to worry about.  The reduction keeps the
-transformation matrices U and V with U * A * V = D, and V^-1 beside V.
-The matrices met here are almost all zeros, so while it runs A, U and
-V^-1 are sparse rows and V is sparse columns: {index: value} dicts that
-never hold a zero.  An index from each column of A to the rows with a
-nonzero there lets a column operation touch only those rows.  At the end
-U * A * V is re-multiplied from the dense U and V over the nonzeros and
-every entry is compared with D.
+Entries are Python ints, so there is no overflow to worry about.  The
+matrices met here are almost all zeros, so they are sparse from end to
+end: the input is a list of sparse rows, {column: value} dicts (dense
+rows are converted once, on entry), and the reduction keeps A, U and
+V^-1 as sparse rows and V as sparse columns, dicts that never hold a
+zero.  An index from each column of A to the rows with a nonzero there
+lets a column operation touch only those rows, and the pivot search
+reads each row's smallest |entry| from a cache that an operation on the
+row resets.  U, V and V^-1 are returned in these forms, with
+U * A * V = D.  At the end (U * A) * V is re-multiplied from the sparse
+rows and every row is compared with D's.
 """
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b):
-    """The product a * b: each row's nonzeros times the nonzero rows of b."""
-    width = len(b[0]) if b else 0
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    """The product a * b of sparse rows: row i is the sum over the
+    nonzeros a[i][k] of a[i][k] * b[k]."""
     out = []
     for row in a:
-        acc = [0] * width
-        for k, x in enumerate(row):
+        acc = {}
+        for k, x in row.items():
             if x:
-                for j, y in b_nonzero[k]:
-                    acc[j] += x * y
-        out.append(acc)
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+        out.append({j: y for j, y in acc.items() if y})
     return out
 
 
@@ -42,21 +39,27 @@ def _add_scaled(dst, src, mult):
             del dst[k]
 
 
-def _dense(vectors, width):
-    out = []
-    for vec in vectors:
-        row = [0] * width
-        for k, x in vec.items():
-            row[k] = x
-        out.append(row)
-    return out
+_EMPTY = float("inf")    # the smallest |entry| of an empty row
 
 
-def _dense_columns(columns, height):
-    out = [[0] * len(columns) for _ in range(height)]
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            out[i][j] = x
+def _sparse_row(row, ncols):
+    """The nonzeros of a row, a dict from [0, ncols) to ints or a dense
+    list of ncols ints, as a new dict; any other row raises ValueError."""
+    if isinstance(row, dict):
+        items = row.items()
+        for j in row:
+            if not isinstance(j, int) or not 0 <= j < ncols:
+                raise ValueError(f"sparse index {j!r} outside [0, {ncols})")
+    elif len(row) != ncols:
+        raise ValueError("ragged matrix")
+    else:
+        items = enumerate(row)
+    out = {}
+    for j, x in items:
+        if not isinstance(x, int):
+            raise ValueError(f"matrix entry {x!r} is not an integer")
+        if x:
+            out[j] = x
     return out
 
 
@@ -65,6 +68,8 @@ class SmithResult:
 
     U * A * V = D, where U and V are unimodular and the diagonal entries
     of D satisfy the divisibility chain d1 | d2 | ... .  Vinv is V^-1.
+    U and Vinv are lists of sparse rows and V a list of sparse columns,
+    {index: value} dicts without zeros: V[j] is column j of V.
     """
 
     def __init__(self, rows, cols, diagonal, U, V, Vinv):
@@ -91,23 +96,29 @@ class SmithResult:
 def smith_normal_form(matrix, ncols=None):
     """Compute the Smith normal form of an integer matrix.
 
-    `matrix` is a list of rows; `ncols` must be given when the matrix has
-    no rows.  Returns a SmithResult.  Pivots are chosen smallest magnitude
-    first, rows before columns, so the result is deterministic.
+    `matrix` is a list of rows, each a sparse {column: value} dict or a
+    dense list; `ncols` must be given when the matrix has no rows or has
+    a sparse row.  Returns a SmithResult.  Pivots are chosen smallest
+    magnitude first, rows before columns, so the result is deterministic.
     """
-    nrows = len(matrix)
     if ncols is None:
-        if not matrix:
-            raise ValueError("ncols is required for a matrix with no rows")
+        if not matrix or any(isinstance(row, dict) for row in matrix):
+            raise ValueError("ncols is required for a matrix with no rows "
+                             "or with sparse rows")
         ncols = len(matrix[0])
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    a = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    nrows = len(matrix)
+    a = [_sparse_row(row, ncols) for row in matrix]
+    # the self-check multiplies the rows as given, dense ones converted
+    matrix = [row if isinstance(row, dict) else dict(sparse)
+              for row, sparse in zip(matrix, a)]
     col_rows = [set() for _ in range(ncols)]
     for i, row in enumerate(a):
         for j in row:
             col_rows[j].add(i)
+    # the smallest |entry| of each row, read by the pivot search; an
+    # operation that changes a row's values resets its entry to None, and
+    # the search recomputes it
+    row_min = [None] * nrows
     u = [{i: 1} for i in range(nrows)]
     v = [{j: 1} for j in range(ncols)]      # the columns of V
     v_inv = [{j: 1} for j in range(ncols)]
@@ -126,6 +137,7 @@ def smith_normal_form(matrix, ncols=None):
             rows.add(i)
         a[i], a[j] = aj, ai
         u[i], u[j] = u[j], u[i]
+        row_min[i], row_min[j] = row_min[j], row_min[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -156,6 +168,7 @@ def smith_normal_form(matrix, ncols=None):
             else:
                 del drow[k]
                 col_rows[k].remove(dst)
+        row_min[dst] = None
         _add_scaled(u[dst], u[src], mult)
 
     def add_col(src, dst, mult):
@@ -175,6 +188,7 @@ def smith_normal_form(matrix, ncols=None):
             else:
                 del row[dst]
                 dst_rows.remove(r)
+            row_min[r] = None
         _add_scaled(v[dst], v[src], mult)
         _add_scaled(v_inv[src], v_inv[dst], -mult)
 
@@ -188,17 +202,16 @@ def smith_normal_form(matrix, ncols=None):
         # locate the smallest-magnitude nonzero pivot in the trailing block,
         # first in row-major order; nothing is smaller than a unit.  Rows
         # from t on have no nonzero left of column t.
-        pivot = None
-        best = 0
+        pivot, best = None, _EMPTY
         for i in range(t, nrows):
-            row = a[i]
-            if row:
-                val = min(map(abs, row.values()))
-                if not best or val < best:
-                    best = val
-                    pivot = i
-                    if best == 1:
-                        break
+            val = row_min[i]
+            if val is None:
+                val = row_min[i] = min(map(abs, a[i].values()),
+                                       default=_EMPTY)
+            if val < best:
+                pivot, best = i, val
+                if best == 1:
+                    break
         if pivot is None:
             break
         pj = min(j for j, x in a[pivot].items() if abs(x) == best)
@@ -259,19 +272,18 @@ def smith_normal_form(matrix, ncols=None):
                     negate_row(i + 1)
 
     diagonal = [a[i][i] for i in range(t) if a[i].get(i)]
-    # free the reduced matrix before the check builds two products of its size
+    # free the reduced matrix before the check builds its products
     del a, col_rows
     for x, y in zip(diagonal, diagonal[1:]):
         if y % x:
             raise AssertionError("divisibility chain violated")
-    u = _dense(u, nrows)
-    v = _dense_columns(v, ncols)
-    v_inv = _dense(v_inv, ncols)
-    d = mat_mul(mat_mul(u, matrix), v)
+    # (U * A) * V, with V's columns turned into rows
+    v_rows = [{} for _ in range(ncols)]
+    for j, col in enumerate(v):
+        for i, x in col.items():
+            v_rows[i][j] = x
+    d = mat_mul(mat_mul(u, matrix), v_rows)
     for i, row in enumerate(d):
-        expected = [0] * ncols
-        if i < len(diagonal):
-            expected[i] = diagonal[i]
-        if row != expected:
+        if row != ({i: diagonal[i]} if i < len(diagonal) else {}):
             raise AssertionError("smith normal form self-check failed")
     return SmithResult(nrows, ncols, diagonal, u, v, v_inv)

@@ -3,6 +3,7 @@ sequence, and the class-3 wedge inequality."""
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,13 @@ from pgh.homology import (_check_stem_extension, abelian_multiplier,
                           be_sequence, exterior_square_order, psi2_image,
                           psi3_image, schur_multiplier, stem_cover,
                           tails_system, tensor_abelian, thm25_check)
-from pgh.pcp import (AbelianType, PcPresentation, abelianization_type,
-                     center, derived_subgroup, direct_product, log_p,
-                     nilpotency_class, structure_stats, subgroup_closure)
+from pgh.pcp import (AbelianSection, AbelianType, PcPresentation,
+                     abelianization_type, center, derived_subgroup,
+                     direct_product, log_p, nilpotency_class, structure_stats,
+                     subgroup_closure)
+from pgh.snf import mat_mul, smith_normal_form
 from pgh.verify import sweep_universe
+from test_snf import densify
 
 
 def _abelian_presentation(p, divisors):
@@ -78,7 +82,7 @@ def test_multiplier_modular_group_trivial():
 def test_tails_free_rank_matches_generators():
     P = catalog.g2(3, 2)
     sys_ = tails_system(P)
-    assert sys_.snf.cokernel_free_rank() == P.ngens
+    assert sys_.tail_count - len(sys_.diagonal) == P.ngens
 
 
 # -- abelian oracle --------------------------------------------------
@@ -274,12 +278,54 @@ def test_tails_systems_and_stem_covers_are_byte_identical():
     for P in _digest_groups():
         count += 1
         ts = tails_system(P)
-        for part in (ts.relation_matrix, ts.snf.diagonal, ts.snf.U, ts.snf.V):
+        # the tails system keeps the diagonal and V; U is recomputed
+        snf = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count)
+        assert (snf.diagonal, snf.V) == (ts.diagonal, ts.V)
+        for part in (densify(ts.relation_matrix, snf.cols), snf.diagonal,
+                     densify(snf.U, snf.rows),
+                     densify(snf.V, snf.cols, columns=True)):
             h.update(repr(part).encode())
         for variant in (0, 1):
             h.update(catalog.serialize(stem_cover(P, variant).E).encode())
     assert count == 82
     assert h.hexdigest() == TAILS_AND_COVERS_SHA256
+
+
+def test_v_and_v_inverse_are_inverse_and_sections_invert_coordinates():
+    # nothing at run time checks V^-1 against V, and the sections'
+    # representatives are V^-1's rows; V is the SNF's sparse columns
+    for P in _digest_groups():
+        ts = tails_system(P)
+        snf = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count)
+        v_rows = [{} for _ in range(snf.cols)]
+        for j, col in enumerate(snf.V):
+            for i, x in col.items():
+                v_rows[i][j] = x
+        assert mat_mul(v_rows, snf.Vinv) == [{i: 1} for i in range(snf.cols)]
+        cover = stem_cover(P)
+        # the sections stem_cover and epicenter build
+        for section in (cover.multiplier_section,
+                        AbelianSection(P, center(P))):
+            reps = section.representatives()
+            for i, x in enumerate(reps):
+                assert section.coords(x) == tuple(
+                    int(i == j) for j in range(len(reps)))
+
+
+def test_tails_system_holds_no_dense_square():
+    # a dense U and V for EA(3,24)'s 276 x 300 tails matrix hold 276^2 +
+    # 300^2 references of 8 bytes, 1.3 MiB; a dense tails system holds
+    # 2.8 MiB in all, and the sparse one 0.2 MiB
+    P = catalog.elementary_abelian(3, 24)
+    tracemalloc.start()
+    try:
+        ts = tails_system(P)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows, cols = len(ts.relation_matrix), ts.tail_count
+    assert (rows, cols) == (276, 300)
+    assert held < (rows ** 2 + cols ** 2) * 8 / 4
 
 
 # -- stem-cover self-checks -------------------------------------------

@@ -5,7 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgh.snf
-from pgh.snf import identity_matrix, mat_mul, smith_normal_form
+from pgh.snf import mat_mul, smith_normal_form
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def densify(vectors, n, columns=False):
+    """Sparse {index: value} rows as dense rows of width n; with
+    columns=True, sparse columns as a dense matrix of n rows."""
+    dense = [[vec.get(j, 0) for j in range(n)] for vec in vectors]
+    return [list(row) for row in zip(*dense)] if columns else dense
+
+
+def sparse(m):
+    """Dense rows as sparse rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def dense_transforms(res):
+    """U, V and V^-1 of a SmithResult as dense lists of rows."""
+    return (densify(res.U, res.rows), densify(res.V, res.cols, columns=True),
+            densify(res.Vinv, res.cols))
 
 
 def bareiss_determinant(m):
@@ -191,7 +213,8 @@ def test_zero_matrix():
 def test_identity_transforms_recover_diagonal():
     m = [[6, 4, 2], [2, 8, 4], [0, 0, 10]]
     res = smith_normal_form(m)
-    d = mat_mul(mat_mul(res.U, m), res.V)
+    u, v, _ = dense_transforms(res)
+    d = _reference_mat_mul(_reference_mat_mul(u, m), v)
     for i in range(3):
         for j in range(3):
             expected = res.diagonal[i] if i == j else 0
@@ -215,8 +238,10 @@ def test_unimodular_inverse_roundtrip():
     m = [[1, 2, 0], [0, 1, 5], [0, 0, 1]]
     res = smith_normal_form(m)
     assert res.diagonal == [1, 1, 1]
-    assert mat_mul(m, mat_mul(res.V, res.U)) == identity_matrix(3)
-    assert mat_mul(res.V, res.Vinv) == identity_matrix(3)
+    u, v, v_inv = dense_transforms(res)
+    assert (_reference_mat_mul(m, _reference_mat_mul(v, u))
+            == identity_matrix(3))
+    assert _reference_mat_mul(v, v_inv) == identity_matrix(3)
 
 
 def test_bareiss_determinant():
@@ -289,10 +314,11 @@ def test_divisibility_chain(m):
 @given(matrices)
 def test_transforms_are_unimodular(m):
     res = smith_normal_form(m)
-    assert abs(bareiss_determinant(res.U)) == 1
+    u, v, v_inv = dense_transforms(res)
+    assert abs(bareiss_determinant(u)) == 1
     n = len(res.V)
-    assert mat_mul(res.V, res.Vinv) == identity_matrix(n)
-    assert mat_mul(res.Vinv, res.V) == identity_matrix(n)
+    assert _reference_mat_mul(v, v_inv) == identity_matrix(n)
+    assert _reference_mat_mul(v_inv, v) == identity_matrix(n)
 
 
 @settings(max_examples=250, deadline=None)
@@ -300,8 +326,13 @@ def test_transforms_are_unimodular(m):
 def test_same_result_as_the_dense_reference(case):
     m, ncols = case
     res = smith_normal_form(m, ncols=ncols)
-    assert (res.diagonal, res.U, res.V) == _reference_smith_normal_form(m, ncols)
-    assert mat_mul(res.V, res.Vinv) == identity_matrix(ncols)
+    u, v, v_inv = dense_transforms(res)
+    assert (res.diagonal, u, v) == _reference_smith_normal_form(m, ncols)
+    assert _reference_mat_mul(v, v_inv) == identity_matrix(ncols)
+    # sparse rows in give the same result
+    given_sparse = smith_normal_form(sparse(m), ncols=ncols)
+    assert ((given_sparse.diagonal, *dense_transforms(given_sparse))
+            == (res.diagonal, u, v, v_inv))
 
 
 @settings(max_examples=150, deadline=None)
@@ -312,12 +343,15 @@ def test_mat_mul_equals_the_dense_product(r, k, c, data):
                            min_size=r, max_size=r))
     b = data.draw(st.lists(st.lists(entries, min_size=c, max_size=c),
                            min_size=k, max_size=k))
+    # rows that keep their zeros are accepted too; the product holds none
+    out = mat_mul([dict(enumerate(row)) for row in a],
+                  [dict(enumerate(row)) for row in b])
+    assert all(all(out_row.values()) for out_row in out)
     if k:
-        assert mat_mul(a, b) == _reference_mat_mul(a, b)
+        assert densify(out, c) == _reference_mat_mul(a, b)
     else:
-        # the product with no inner dimension is the r x 0 matrix, since b
-        # has no rows to give a width; the dense product agrees
-        assert mat_mul(a, b) == _reference_mat_mul(a, b) == [[] for _ in a]
+        # with no inner dimension the product is the r x c zero matrix
+        assert out == [{} for _ in a]
 
 
 def test_self_check_multiplies_u_a_v_through_the_module(monkeypatch):
@@ -329,20 +363,51 @@ def test_self_check_multiplies_u_a_v_through_the_module(monkeypatch):
         return out
 
     monkeypatch.setattr(pgh.snf, "mat_mul", counted)
-    m = [[6, 4, 2], [2, 8, 4], [0, 0, 10], [1, 0, 3]]
-    res = smith_normal_form(m)
+    m = sparse([[6, 4, 2], [2, 8, 4], [0, 0, 10], [1, 0, 3]])
+    res = smith_normal_form(m, ncols=3)
     assert len(calls) == 2
     (a1, b1, ua), (a2, b2, _) = calls
-    assert a1 is res.U and b1 is m
-    assert a2 is ua and b2 is res.V
+    # A is the caller's rows, not a copy; V is passed as its rows
+    assert a1 is res.U and len(b1) == len(m)
+    assert all(x is y for x, y in zip(b1, m))
+    assert a2 is ua and densify(b2, 3) == densify(res.V, 3, columns=True)
 
     # every entry of U * A * V is compared with D, off the diagonal too
     def corrupted(a, b):
         out = mat_mul(a, b)
-        if b is not m:
-            out[-1][0] += 1
+        if b[0] is not m[0]:
+            out[-1][0] = out[-1].get(0, 0) + 1
         return out
 
     monkeypatch.setattr(pgh.snf, "mat_mul", corrupted)
     with pytest.raises(AssertionError, match="self-check failed"):
-        smith_normal_form(m)
+        smith_normal_form(m, ncols=3)
+
+
+# -- malformed input ----------------------------------------------------
+
+
+def test_sparse_rows_need_ncols():
+    with pytest.raises(ValueError, match="ncols is required"):
+        smith_normal_form([{0: 1}])
+    with pytest.raises(ValueError, match="ncols is required"):
+        smith_normal_form([[1, 0], {0: 1}])
+
+
+@pytest.mark.parametrize("row", [{2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}])
+def test_sparse_index_outside_the_columns_is_rejected(row):
+    with pytest.raises(ValueError, match="outside"):
+        smith_normal_form([{0: 1}, row], ncols=2)
+
+
+@pytest.mark.parametrize("row", [{0: 1.5}, {1: "1"}, [1, None], [0.0, 1]])
+def test_non_integer_entry_is_rejected(row):
+    with pytest.raises(ValueError, match="not an integer"):
+        smith_normal_form([row], ncols=2)
+
+
+def test_ragged_dense_rows_are_rejected():
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2]], ncols=3)
