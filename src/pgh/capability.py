@@ -53,7 +53,7 @@ def epicenter(cover):
 
     The z_j generate Z(G), one per invariant factor; the g_i are a
     Burnside basis (the pc generators outside the Frattini subgroup).
-    Row j of A holds the coordinates of [z_j^, g_i^] in M, scaled to the
+    Row j of A holds the chain coordinates of [z_j^, g_i^] in M, scaled to the
     modulus N = exp M; with U*A*V = D, the kernel mod N is spanned by the
     rows (N / gcd(N, d_i)) * U_i, where d_i = 0 past the rank.
     """
@@ -63,17 +63,16 @@ def epicenter(cover):
     zs = zsec.representatives()
     phi = set(frattini_subgroup(P).leading_indices())
     gs = [cover.lift(P.gen(i)) for i in range(P.ngens) if i not in phi]
-    msec = cover.multiplier_section
-    N = max(msec.divisors, default=1)
+    N = max(cover.divisors, default=1)
     rows = []
     for z in zs:
         zhat = cover.lift(z)
         row = []
         for g in gs:
-            c = msec.coords(E.commutator(zhat, g))
-            row.extend(ci * (N // d) for ci, d in zip(c, msec.divisors))
+            c = cover.multiplier_coords(E.commutator(zhat, g))
+            row.extend(ci * (N // d) for ci, d in zip(c, cover.divisors))
         rows.append(row)
-    snf = smith_normal_form(rows, ncols=len(gs) * len(msec.divisors))
+    snf = smith_normal_form(rows, ncols=len(gs) * len(cover.divisors))
     diag = snf.diagonal + [0] * (len(zs) - snf.rank)
     gens = []
     for u, d in zip(snf.U, diag):

@@ -159,7 +159,8 @@ def cmd_bounds(args, out):
         b = verify.bounds(args.n, args.k, args.d)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    record = {"n": args.n, "k": args.k, "d": args.d, "bounds": b}
+    record = {"n": args.n, "k": args.k, "d": args.d,
+              "bounds": {name: verify.num(v) for name, v in b.items()}}
     _emit_record(record, args.format, out)
     return EXIT_OK
 

@@ -11,7 +11,6 @@ counts the tails in an optional accumulator, and the overlaps are the
 ones the consistency check enumerates (`pcp._overlaps`).
 """
 
-import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -39,10 +38,6 @@ class TailsSystem:
         self.relation_matrix = relation_matrix
         self.diagonal = diagonal
         self.V = V
-
-    @property
-    def multiplier(self):
-        return AbelianType.from_divisors(self.diagonal)
 
 
 @per_presentation
@@ -98,7 +93,7 @@ def tails_system(P):
 
 def schur_multiplier(P):
     """Elementary divisors of the Schur multiplier of G."""
-    return tails_system(P).multiplier
+    return AbelianType.from_divisors(tails_system(P).diagonal)
 
 
 def abelian_multiplier(A):
@@ -122,13 +117,16 @@ class StemCover:
     """Central extension 1 -> M -> E -> G -> 1 with M <= Z(E) and M <= E'.
 
     The first N generators of E project onto the generators of G; the
-    projection simply truncates exponent vectors.
+    projection simply truncates exponent vectors.  M = (+) C_d over
+    `divisors`, one refined chain of generators g, g^p, g^(p^2), ... each.
     """
 
-    def __init__(self, base, E, M):
+    def __init__(self, base, E, M, chains, divisors):
         self.base = base
         self.E = E
         self.M = M
+        self.chains = chains
+        self.divisors = divisors
 
     def project(self, x):
         return tuple(x[:self.base.ngens])
@@ -136,13 +134,15 @@ class StemCover:
     def lift(self, x):
         return tuple(x) + (0,) * (self.E.ngens - self.base.ngens)
 
-    @functools.cached_property
-    def multiplier_section(self):
-        """M as an abelian section of E, built once per cover."""
-        return AbelianSection(self.E, self.M)
-
     def multiplier_type(self):
-        return self.multiplier_section.type
+        return AbelianType.from_divisors(self.divisors)
+
+    def multiplier_coords(self, x):
+        """Coordinates of x in M: sum_i x[chain[i]] p^i for each chain."""
+        if any(x[:self.base.ngens]):
+            raise ValueError("element is not in the multiplier M")
+        return tuple(sum(x[g] * self.E.p ** i for i, g in enumerate(chain))
+                     for chain in self.chains)
 
 
 def _base_p_word(value, chain, p):
@@ -166,6 +166,11 @@ def stem_cover(P, variant=0):
     coordinates, giving a second valid complement (relation rows have no
     free components, so the relations are still satisfied); the two
     variants are used to cross-check cover-independent constructions.
+
+    M is (+) C_d over the torsion diagonal with no comparison: E is built
+    consistent, so |M| = p^(N_E - n) = prod d; by `_check_stem_extension`
+    no commutator rule has a letter of M on its left, so M is abelian, and
+    it is spanned by chain heads of orders dividing the d: M = (+) C_d.
     """
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
@@ -214,11 +219,7 @@ def stem_cover(P, variant=0):
         labels[chain[0]] = f"m{ci + 1}"
     E = PcPresentation(p, total, power, comm, labels)
     M = Subgroup(E, [E.gen(i) for i in range(n, total)])
-    cover = StemCover(P, E, M)
-
-    mt = cover.multiplier_type()
-    if mt != ts.multiplier:
-        raise AssertionError("stem cover M does not match the multiplier")
+    cover = StemCover(P, E, M, chains, tuple(d for _, d in torsion))
     _check_stem_extension(P, E)
     # projection must be a homomorphism: check on generator products
     for i in range(n):

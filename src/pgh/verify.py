@@ -34,17 +34,18 @@ def _doubled(n, k, d):
 
 
 def bounds(n, k, d):
-    """The three multiplier bound exponents for given (n, k, d), each
-    asserted integral."""
+    """The three multiplier bound exponents for given (n, k, d), as
+    `report` stores them: an int when integral, else a Fraction."""
     if n < 1 or not (0 <= k < n) or not (1 <= d <= n - k):
         raise ValueError(f"bad parameters (n={n}, k={k}, d={d})")
-    out = {}
-    for name, v in zip(("green", "niroomand", "rai"), _doubled(n, k, d)):
-        if v % 2:
-            raise AssertionError(f"{name} exponent is not integral at "
-                                 f"(n={n}, k={k}, d={d})")
-        out[name] = v // 2
-    return out
+    return {name: Fraction(v, 2) if v % 2 else v // 2
+            for name, v in zip(("green", "niroomand", "rai"),
+                               _doubled(n, k, d))}
+
+
+def num(x):
+    """An exponent as a JSON number: int when integral, else float."""
+    return int(x) if x == int(x) else float(x)
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,6 @@ class GroupReport:
     family_match: str
 
     def to_json_dict(self, group_desc, checks=None):
-        def num(x):
-            return int(x) if x == int(x) else float(x)
         doc = {
             "group": group_desc,
             "n": self.n,

@@ -141,6 +141,12 @@ def test_bounds_values_and_errors():
     assert code == 2
 
 
+def test_bounds_half_integral_exponent():
+    code, out = run_cli("bounds", "--n", "4", "--k", "1", "--d", "2")
+    assert code == 0
+    assert "bounds.niroomand: 4\nbounds.rai: 2.5\n" in out
+
+
 def test_bounds_csv_deterministic():
     _, a = run_cli("bounds", "--n", "6", "--k", "3", "--d", "3",
                    "--format", "csv")
@@ -239,7 +245,7 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
         runs.append((run_cli(*argv), calls[0]))
     (code, out), count = runs[0]
     assert code == 0 and json.loads(out)["failed"] == 0
-    assert count == 41929
+    assert count == 40917
     assert runs[1] == runs[0]
 
 

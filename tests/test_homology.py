@@ -3,6 +3,7 @@ sequence, and the class-3 wedge inequality."""
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -10,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgh import catalog
+from pgh.capability import epicenter
 from pgh.homology import (_check_stem_extension, abelian_multiplier,
                           be_sequence, exterior_square_order, psi2_image,
                           psi3_image, schur_multiplier, stem_cover,
                           tails_system, tensor_abelian, thm25_check)
 from pgh.pcp import (AbelianSection, AbelianType, PcPresentation,
                      abelianization_type, center, derived_subgroup,
-                     direct_product, log_p, nilpotency_class, structure_stats,
-                     subgroup_closure)
+                     direct_product, frattini_subgroup, log_p,
+                     nilpotency_class, structure_stats, subgroup_closure)
 from pgh.snf import mat_mul, smith_normal_form
 from pgh.verify import sweep_universe
 from test_snf import densify
@@ -303,8 +305,8 @@ def test_v_and_v_inverse_are_inverse_and_sections_invert_coordinates():
                 v_rows[i][j] = x
         assert mat_mul(v_rows, snf.Vinv) == [{i: 1} for i in range(snf.cols)]
         cover = stem_cover(P)
-        # the sections stem_cover and epicenter build
-        for section in (cover.multiplier_section,
+        # M as a general section of E, and the section epicenter builds
+        for section in (AbelianSection(cover.E, cover.M),
                         AbelianSection(P, center(P))):
             reps = section.representatives()
             for i, x in enumerate(reps):
@@ -344,6 +346,63 @@ def test_stem_extension_checks_agree_with_the_closure_route():
             for b in cover.M.basis:
                 for g in E.gens():
                     assert E.commutator(b, g) == E.identity()
+
+
+def _epicenter_via_section(cover):
+    # capability.epicenter as it was when it read M's coordinates from
+    # AbelianSection(E, M) rather than from the cover's chains
+    P, E = cover.base, cover.E
+    zsec = AbelianSection(P, center(P))
+    zs = zsec.representatives()
+    phi = set(frattini_subgroup(P).leading_indices())
+    gs = [cover.lift(P.gen(i)) for i in range(P.ngens) if i not in phi]
+    msec = AbelianSection(E, cover.M)
+    N = max(msec.divisors, default=1)
+    rows = []
+    for z in zs:
+        zhat = cover.lift(z)
+        row = []
+        for g in gs:
+            c = msec.coords(E.commutator(zhat, g))
+            row.extend(ci * (N // d) for ci, d in zip(c, msec.divisors))
+        rows.append(row)
+    snf = smith_normal_form(rows, ncols=len(gs) * len(msec.divisors))
+    diag = snf.diagonal + [0] * (len(zs) - snf.rank)
+    gens = []
+    for u, d in zip(snf.U, diag):
+        scale = N // math.gcd(N, d)
+        z = P.identity()
+        for j, (zj, order) in enumerate(zip(zs, zsec.divisors)):
+            z = P.mult(z, P.pow(zj, scale * u.get(j, 0) % order))
+        gens.append(z)
+    return subgroup_closure(P, gens)
+
+
+def test_multiplier_coords_agree_with_the_section_route():
+    # stem_cover lays M out as chains and reads coordinates off them; here
+    # M is rebuilt as a general abelian section of E, which re-proves M
+    # abelian and sifts its basis, and the epicenter is recomputed from it
+    for P in _digest_groups():
+        for variant in (0, 1):
+            cover = stem_cover(P, variant)
+            E, ds = cover.E, cover.divisors
+            assert AbelianSection(E, cover.M).type == cover.multiplier_type()
+            for j, chain in enumerate(cover.chains):
+                assert cover.multiplier_coords(E.gen(chain[0])) == tuple(
+                    int(i == j) for i in range(len(ds)))
+            coords = {b: cover.multiplier_coords(b) for b in cover.M.basis}
+            for a, b in itertools.product(cover.M.basis, repeat=2):
+                assert cover.multiplier_coords(E.mult(a, b)) == tuple(
+                    (x + y) % d for x, y, d in zip(coords[a], coords[b], ds))
+            want = _epicenter_via_section(cover)
+            got = epicenter(cover)
+            assert got.issubset(want) and want.issubset(got)
+
+
+def test_multiplier_coords_reject_elements_outside_m():
+    cover = stem_cover(catalog.g4(3, 2))
+    with pytest.raises(ValueError, match="not in the multiplier"):
+        cover.multiplier_coords(cover.lift(cover.base.gen(0)))
 
 
 def test_stem_extension_checks_reject_mutants():

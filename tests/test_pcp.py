@@ -529,12 +529,12 @@ def test_consistency_collector_call_counts():
 def test_cold_stem_cover_collector_calls():
     # every _collect_into call of building G4(3,3) and its stem cover:
     # G's consistency check and tails system, E's consistency check, and
-    # the projection check; M <= E' and M <= Z(E) are read off the
-    # presentation and collect nothing.  Same rule as the gate above.
+    # the projection check; M <= E', M <= Z(E) and M's type are read off
+    # the presentation and collect nothing.  Same rule as the gate above.
     with mock.patch.object(PcPresentation, "_collect_into", autospec=True,
                            side_effect=PcPresentation._collect_into) as calls:
         stem_cover(catalog.g4(3, 3))
-    assert calls.call_count == 1204
+    assert calls.call_count == 1142
 
 
 def test_abelianization_type_matches_the_closure_route():

@@ -33,9 +33,10 @@ def test_bounds_domain_errors():
         verify.bounds(3, 1, 3)
 
 
-def test_bounds_integrality_assert():
-    with pytest.raises(AssertionError):
-        verify.bounds(4, 1, 2)
+def test_bounds_half_integral_exponent():
+    # the modular group of order p^4; report stores the same 5/2
+    assert verify.bounds(4, 1, 2) == {"green": 6, "niroomand": 4,
+                                      "rai": Fraction(5, 2)}
 
 
 def test_bound_monotonicity():
