@@ -2,8 +2,8 @@
 multipliers via covering-group tails, stem covers, capability, and
 verification of multiplier order bounds and their attainers."""
 
-from .capability import (ExteriorElement, epicenter, epicenter_crosscheck,
-                         exterior_pair, is_capable)
+from .capability import (epicenter, epicenter_crosscheck, exterior_pair,
+                         is_capable)
 from .catalog import (FamilyParameterError, PresentationFormatError, load,
                       make, parse, serialize, small_group_table)
 from .homology import (ExactSequenceReport, StemCover, TailsSystem,
@@ -25,7 +25,7 @@ from .verify import (CheckResult, GroupReport, QuotientAttainmentReport,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AbelianType", "CheckResult", "ExactSequenceReport", "ExteriorElement",
+    "AbelianType", "CheckResult", "ExactSequenceReport",
     "FamilyParameterError", "GroupReport", "PcPresentation",
     "PresentationFormatError", "QuotientAttainmentReport", "StemCover",
     "StructureStats", "Subgroup", "SweepReport", "TailsSystem",

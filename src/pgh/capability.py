@@ -17,35 +17,10 @@ from .pcp import AbelianSection, center, frattini_subgroup, subgroup_closure
 from .snf import smith_normal_form
 
 
-class ExteriorElement:
-    """An element of G ^ G, represented inside the derived subgroup of E."""
-
-    def __init__(self, cover, rep):
-        self.cover = cover
-        self.rep = rep
-
-    def is_identity(self):
-        return self.rep == self.cover.E.identity()
-
-    def mult(self, other):
-        assert self.cover is other.cover
-        return ExteriorElement(self.cover, self.cover.E.mult(self.rep, other.rep))
-
-    def pow(self, e):
-        return ExteriorElement(self.cover, self.cover.E.pow(self.rep, e))
-
-    def __eq__(self, other):
-        return (isinstance(other, ExteriorElement)
-                and self.cover is other.cover and self.rep == other.rep)
-
-    def __repr__(self):
-        return f"ExteriorElement({self.cover.E.element_str(self.rep)})"
-
-
 def exterior_pair(cover, a, b):
-    """a ^ b as [a^, b^] in the stem cover, for canonical lifts."""
-    rep = cover.E.commutator(cover.lift(a), cover.lift(b))
-    return ExteriorElement(cover, rep)
+    """a ^ b as the element [a^, b^] of the stem cover E, for canonical
+    lifts; it lies in E', which is G ^ G."""
+    return cover.E.commutator(cover.lift(a), cover.lift(b))
 
 
 def epicenter(cover):
@@ -64,15 +39,18 @@ def epicenter(cover):
     phi = set(frattini_subgroup(P).leading_indices())
     gs = [cover.lift(P.gen(i)) for i in range(P.ngens) if i not in phi]
     N = max(cover.divisors, default=1)
+    w = len(cover.divisors)
     rows = []
     for z in zs:
         zhat = cover.lift(z)
-        row = []
-        for g in gs:
+        row = {}
+        for i, g in enumerate(gs):
             c = cover.multiplier_coords(E.commutator(zhat, g))
-            row.extend(ci * (N // d) for ci, d in zip(c, cover.divisors))
+            for k, (ci, d) in enumerate(zip(c, cover.divisors)):
+                if ci:
+                    row[i * w + k] = ci * (N // d)
         rows.append(row)
-    snf = smith_normal_form(rows, ncols=len(gs) * len(cover.divisors))
+    snf = smith_normal_form(rows, ncols=len(gs) * w)
     diag = snf.diagonal + [0] * (len(zs) - snf.rank)
     gens = []
     for u, d in zip(snf.U, diag):

@@ -274,12 +274,13 @@ def _suite_capability(p, deep):
                          and der.issubset(epi) and epi.order == p,
                          f"epicenter order {epi.order}"))
             a, b = P.gen(0), P.gen(1)
+            E = cover.E
             wedge = exterior_pair(cover, b, a)
             rows.append((f"wedge_power_identity[m={m}]",
-                         wedge.pow(p ** (m - 1)).is_identity(), ""))
+                         E.pow(wedge, p ** (m - 1)) == E.identity(), ""))
             rows.append((f"wedge_commutator_identity[m={m}]",
                          exterior_pair(cover, a, P.commutator(a, b))
-                         .is_identity(), ""))
+                         == E.identity(), ""))
     return rows
 
 

@@ -304,11 +304,8 @@ class TensorGroup:
         t = len(self.moduli)
         if t == 0:
             return 1
-        rows = [list(v) for v in vectors]
-        for i, m in enumerate(self.moduli):
-            row = [0] * t
-            row[i] = m
-            rows.append(row)
+        rows = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+        rows += [{i: m} for i, m in enumerate(self.moduli)]
         snf = smith_normal_form(rows, ncols=t)
         covol = 1
         for d in snf.diagonal:

@@ -19,7 +19,7 @@ import functools
 import inspect
 from dataclasses import dataclass, field
 
-from .snf import smith_normal_form
+from .snf import mat_mul, smith_normal_form
 
 Word = tuple  # tuple of (generator_index, exponent) pairs, 0-based indices
 
@@ -812,23 +812,22 @@ class AbelianSection:
         self.P = P
         self.N = N
         self.M = M
-        m = len(N.basis)
         rows = []
         for i, b in enumerate(N.basis):
-            row = [0] * m
-            row[i] = P.p
-            for j, c in enumerate(N.coords(P.pow(b, P.p))):
-                row[j] -= c
+            row = {j: -c for j, c in enumerate(N.coords(P.pow(b, P.p))) if c}
+            row[i] = row.get(i, 0) + P.p
             rows.append(row)
         for b in M.basis:
-            rows.append(list(N.coords(b)))
-        snf = smith_normal_form(rows, ncols=m)
+            rows.append({j: c for j, c in enumerate(N.coords(b)) if c})
+        snf = smith_normal_form(rows, ncols=len(N.basis))
         if snf.cokernel_free_rank():
             raise AssertionError("abelian section has unexpected free rank")
         self.V = snf.V
-        self.Vinv = snf.Vinv
         self.torsion = [(idx, d) for idx, d in enumerate(snf.diagonal) if d > 1]
         self.divisors = tuple(d for _, d in self.torsion)
+        # what `representatives` reads: U's torsion rows and the relations
+        self._torsion_u = [snf.U[idx] for idx, _ in self.torsion]
+        self._rows = rows
         assert self.type.order * M.order == N.order, "section order mismatch"
 
     @property
@@ -842,11 +841,22 @@ class AbelianSection:
                      for idx, d in self.torsion)
 
     def representatives(self):
-        """One element of N per invariant generator of the section."""
+        """One element of N per invariant generator of the section.
+
+        The generator of index idx has the coordinates of row idx of
+        V^-1.  U*A*V = D gives U*A = D*V^-1, and the free rank is 0, so
+        every torsion index is below the rank and that row is
+        (U_idx * A) / d_idx.
+        """
         m = len(self.N.basis)
-        return [self.N.from_coords([self.Vinv[idx].get(j, 0)
-                                    for j in range(m)])
-                for idx, _ in self.torsion]
+        reps = []
+        for ua, (_, d) in zip(mat_mul(self._torsion_u, self._rows),
+                              self.torsion):
+            if any(x % d for x in ua.values()):
+                raise AssertionError("U * A is not divisible by D")
+            reps.append(self.N.from_coords([ua.get(j, 0) // d
+                                            for j in range(m)]))
+        return reps
 
 
 def abelian_invariants(P, N, M=None):
@@ -854,6 +864,7 @@ def abelian_invariants(P, N, M=None):
     return AbelianSection(P, N, M).type
 
 
+@per_presentation
 def abelianization_type(P):
     """G/G' from the abelianised relation matrix of the presentation.
 
@@ -862,21 +873,19 @@ def abelianization_type(P):
     is the exponent-sum vector of w; G/G' is the cokernel of these rows.
     No subgroup is closed and no element is collected.
     """
-    n = P.ngens
     rows = []
     for i, w in enumerate(P.power):
-        row = [0] * n
-        row[i] = P.p
+        row = {i: P.p}
         for g, e in w:
-            row[g] -= e
+            row[g] = row.get(g, 0) - e
         rows.append(row)
     for w in P.comm.values():
-        row = [0] * n
+        row = {}
         for g, e in w:
-            row[g] += e
+            row[g] = row.get(g, 0) + e
         rows.append(row)
     return AbelianType.from_divisors(
-        smith_normal_form(rows, ncols=n).diagonal)
+        smith_normal_form(rows, ncols=P.ngens).diagonal)
 
 
 # -- structure stats -------------------------------------------------

@@ -2,15 +2,15 @@
 
 Entries are Python ints, so there is no overflow to worry about.  The
 matrices met here are almost all zeros, so they are sparse from end to
-end: the input is a list of sparse rows, {column: value} dicts (dense
-rows are converted once, on entry), and the reduction keeps A, U and
-V^-1 as sparse rows and V as sparse columns, dicts that never hold a
-zero.  An index from each column of A to the rows with a nonzero there
-lets a column operation touch only those rows, and the pivot search
-reads each row's smallest |entry| from a cache that an operation on the
-row resets.  U, V and V^-1 are returned in these forms, with
-U * A * V = D.  At the end (U * A) * V is re-multiplied from the sparse
-rows and every row is compared with D's.
+end: the input is a list of sparse rows, {column: value} dicts, with the
+column count given, and the reduction keeps A and U as sparse rows and V
+as sparse columns, dicts that never hold a zero.  An index from each
+column of A to the rows with a nonzero there lets a column operation
+touch only those rows, and the pivot search reads each row's smallest
+|entry| from a cache that an operation on the row resets.  The diagonal,
+U and V are returned, with U * A * V = D; V^-1 is not kept, since its
+first rank rows are (U * A) / D.  At the end (U * A) * V is
+re-multiplied from the sparse rows and every row is compared with D's.
 """
 
 
@@ -43,19 +43,14 @@ _EMPTY = float("inf")    # the smallest |entry| of an empty row
 
 
 def _sparse_row(row, ncols):
-    """The nonzeros of a row, a dict from [0, ncols) to ints or a dense
-    list of ncols ints, as a new dict; any other row raises ValueError."""
-    if isinstance(row, dict):
-        items = row.items()
-        for j in row:
-            if not isinstance(j, int) or not 0 <= j < ncols:
-                raise ValueError(f"sparse index {j!r} outside [0, {ncols})")
-    elif len(row) != ncols:
-        raise ValueError("ragged matrix")
-    else:
-        items = enumerate(row)
+    """The nonzeros of a row, a dict from [0, ncols) to ints, as a new
+    dict; any other row raises ValueError."""
+    if not isinstance(row, dict):
+        raise ValueError(f"row {row!r} is not a {{column: value}} dict")
     out = {}
-    for j, x in items:
+    for j, x in row.items():
+        if not isinstance(j, int) or not 0 <= j < ncols:
+            raise ValueError(f"sparse index {j!r} outside [0, {ncols})")
         if not isinstance(x, int):
             raise ValueError(f"matrix entry {x!r} is not an integer")
         if x:
@@ -67,18 +62,17 @@ class SmithResult:
     """Diagonal form of an integer matrix together with its transforms.
 
     U * A * V = D, where U and V are unimodular and the diagonal entries
-    of D satisfy the divisibility chain d1 | d2 | ... .  Vinv is V^-1.
-    U and Vinv are lists of sparse rows and V a list of sparse columns,
-    {index: value} dicts without zeros: V[j] is column j of V.
+    of D satisfy the divisibility chain d1 | d2 | ... .  U is a list of
+    sparse rows and V a list of sparse columns, {index: value} dicts
+    without zeros: V[j] is column j of V.
     """
 
-    def __init__(self, rows, cols, diagonal, U, V, Vinv):
+    def __init__(self, rows, cols, diagonal, U, V):
         self.rows = rows
         self.cols = cols
         self.diagonal = diagonal
         self.U = U
         self.V = V
-        self.Vinv = Vinv
 
     @property
     def rank(self):
@@ -88,29 +82,16 @@ class SmithResult:
         """Free rank of Z^cols / rowspace(A)."""
         return self.cols - self.rank
 
-    def cokernel_torsion(self):
-        """Nontrivial invariant factors of Z^cols / rowspace(A)."""
-        return [d for d in self.diagonal if d > 1]
 
-
-def smith_normal_form(matrix, ncols=None):
+def smith_normal_form(rows, ncols):
     """Compute the Smith normal form of an integer matrix.
 
-    `matrix` is a list of rows, each a sparse {column: value} dict or a
-    dense list; `ncols` must be given when the matrix has no rows or has
-    a sparse row.  Returns a SmithResult.  Pivots are chosen smallest
+    `rows` is a list of sparse {column: value} dicts with columns in
+    [0, ncols).  Returns a SmithResult.  Pivots are chosen smallest
     magnitude first, rows before columns, so the result is deterministic.
     """
-    if ncols is None:
-        if not matrix or any(isinstance(row, dict) for row in matrix):
-            raise ValueError("ncols is required for a matrix with no rows "
-                             "or with sparse rows")
-        ncols = len(matrix[0])
-    nrows = len(matrix)
-    a = [_sparse_row(row, ncols) for row in matrix]
-    # the self-check multiplies the rows as given, dense ones converted
-    matrix = [row if isinstance(row, dict) else dict(sparse)
-              for row, sparse in zip(matrix, a)]
+    nrows = len(rows)
+    a = [_sparse_row(row, ncols) for row in rows]
     col_rows = [set() for _ in range(ncols)]
     for i, row in enumerate(a):
         for j in row:
@@ -121,7 +102,6 @@ def smith_normal_form(matrix, ncols=None):
     row_min = [None] * nrows
     u = [{i: 1} for i in range(nrows)]
     v = [{j: 1} for j in range(ncols)]      # the columns of V
-    v_inv = [{j: 1} for j in range(ncols)]
 
     def swap_rows(i, j):
         if i == j:
@@ -152,7 +132,6 @@ def smith_normal_form(matrix, ncols=None):
                 row[j] = x
         col_rows[i], col_rows[j] = col_rows[j], col_rows[i]
         v[i], v[j] = v[j], v[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, mult):
         if not mult:
@@ -172,8 +151,6 @@ def smith_normal_form(matrix, ncols=None):
         _add_scaled(u[dst], u[src], mult)
 
     def add_col(src, dst, mult):
-        # column dst += mult * column src on V is, on V^-1, the row
-        # operation row src -= mult * row dst
         if not mult:
             return
         dst_rows = col_rows[dst]
@@ -190,7 +167,6 @@ def smith_normal_form(matrix, ncols=None):
                 dst_rows.remove(r)
             row_min[r] = None
         _add_scaled(v[dst], v[src], mult)
-        _add_scaled(v_inv[src], v_inv[dst], -mult)
 
     def negate_row(i):
         a[i] = {k: -x for k, x in a[i].items()}
@@ -282,8 +258,8 @@ def smith_normal_form(matrix, ncols=None):
     for j, col in enumerate(v):
         for i, x in col.items():
             v_rows[i][j] = x
-    d = mat_mul(mat_mul(u, matrix), v_rows)
+    d = mat_mul(mat_mul(u, rows), v_rows)
     for i, row in enumerate(d):
         if row != ({i: diagonal[i]} if i < len(diagonal) else {}):
             raise AssertionError("smith normal form self-check failed")
-    return SmithResult(nrows, ncols, diagonal, u, v, v_inv)
+    return SmithResult(nrows, ncols, diagonal, u, v)

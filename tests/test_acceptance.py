@@ -153,9 +153,9 @@ def test_criterion_09_property_suites():
     for m in (2, 3):
         P = catalog.min_nonabelian_a(3, m, m - 1)
         cover = stem_cover(P)
-        a, b = P.gen(0), P.gen(1)
-        assert exterior_pair(cover, b, a).pow(3 ** (m - 1)).is_identity()
-        assert exterior_pair(cover, a, P.commutator(a, b)).is_identity()
+        E, a, b = cover.E, P.gen(0), P.gen(1)
+        assert E.pow(exterior_pair(cover, b, a), 3 ** (m - 1)) == E.identity()
+        assert exterior_pair(cover, a, P.commutator(a, b)) == E.identity()
 
 
 def test_criterion_10_quotient_attainment():

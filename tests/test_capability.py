@@ -60,9 +60,9 @@ def test_exterior_identities_noncapable_family(m):
     # (b ^ a)^(p^(m-1)) = 1 and a ^ [a, b] = 1
     P = catalog.min_nonabelian_a(3, m, m - 1)
     cover = stem_cover(P)
-    a, b = P.gen(0), P.gen(1)
-    assert exterior_pair(cover, b, a).pow(3 ** (m - 1)).is_identity()
-    assert exterior_pair(cover, a, P.commutator(a, b)).is_identity()
+    E, a, b = cover.E, P.gen(0), P.gen(1)
+    assert E.pow(exterior_pair(cover, b, a), 3 ** (m - 1)) == E.identity()
+    assert exterior_pair(cover, a, P.commutator(a, b)) == E.identity()
 
 
 def test_exterior_pair_bilinearity_center():
@@ -70,10 +70,10 @@ def test_exterior_pair_bilinearity_center():
     # with its own commutator subgroup lifted through the cover
     P = catalog.extraspecial_e1(3)
     cover = stem_cover(P)
-    a, b = P.gen(0), P.gen(1)
+    E, a, b = cover.E, P.gen(0), P.gen(1)
     w = exterior_pair(cover, a, b)
-    assert w.pow(3).is_identity()
-    assert not w.is_identity()
+    assert E.pow(w, 3) == E.identity()
+    assert w != E.identity()
 
 
 @pytest.mark.parametrize("builder", [

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,16 @@ from hypothesis import strategies as st
 from pgh import catalog
 from pgh.capability import epicenter
 from pgh.homology import (_check_stem_extension, abelian_multiplier,
-                          be_sequence, exterior_square_order, psi2_image,
-                          psi3_image, schur_multiplier, stem_cover,
-                          tails_system, tensor_abelian, thm25_check)
+                          be_sequence, central_quotient_section,
+                          exterior_square_order, psi2_image, psi3_image,
+                          schur_multiplier, stem_cover, tails_system,
+                          tensor_abelian, thm25_check)
 from pgh.pcp import (AbelianSection, AbelianType, PcPresentation,
-                     abelianization_type, center, derived_subgroup,
-                     direct_product, frattini_subgroup, log_p,
+                     _central_part, abelianization_type, center,
+                     derived_subgroup, direct_product, frattini_subgroup,
+                     full_subgroup, log_p, lower_central_series,
                      nilpotency_class, structure_stats, subgroup_closure)
-from pgh.snf import mat_mul, smith_normal_form
+from pgh.snf import smith_normal_form
 from pgh.verify import sweep_universe
 from test_snf import densify
 
@@ -293,25 +296,56 @@ def test_tails_systems_and_stem_covers_are_byte_identical():
     assert h.hexdigest() == TAILS_AND_COVERS_SHA256
 
 
-def test_v_and_v_inverse_are_inverse_and_sections_invert_coordinates():
-    # nothing at run time checks V^-1 against V, and the sections'
-    # representatives are V^-1's rows; V is the SNF's sparse columns
+def _inverse(columns):
+    """The inverse of the integer matrix with these sparse columns, by
+    Gauss-Jordan elimination over the rationals; it must be integral."""
+    m = len(columns)
+    a = [[Fraction(col.get(i, 0)) for col in columns]
+         + [Fraction(int(i == k)) for k in range(m)] for i in range(m)]
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(m):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    assert all(x.denominator == 1 for row in a for x in row[m:])
+    return [[int(x) for x in row[m:]] for row in a]
+
+
+def _sections(P):
+    """Z(G), G', G/G', G/G'Z(G), each gamma_i/gamma_(i+1) and Z(G) & G',
+    the sections pgh builds on a group."""
+    derived = derived_subgroup(P)
+    yield AbelianSection(P, center(P))
+    yield AbelianSection(P, derived)
+    yield AbelianSection(P, full_subgroup(P), derived)
+    yield central_quotient_section(P)
+    series = lower_central_series(P)
+    for upper, lower in zip(series, series[1:]):
+        yield AbelianSection(P, upper, lower)
+    yield AbelianSection(P, _central_part(P, derived.basis))
+
+
+def test_section_representatives_are_the_rows_of_v_inverse():
+    # representatives() reads V^-1's torsion rows off U * A; here V^-1 is
+    # inverted exactly, and each representative must have unit coordinates
+    sections = reps_count = 0
     for P in _digest_groups():
-        ts = tails_system(P)
-        snf = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count)
-        v_rows = [{} for _ in range(snf.cols)]
-        for j, col in enumerate(snf.V):
-            for i, x in col.items():
-                v_rows[i][j] = x
-        assert mat_mul(v_rows, snf.Vinv) == [{i: 1} for i in range(snf.cols)]
         cover = stem_cover(P)
-        # M as a general section of E, and the section epicenter builds
-        for section in (AbelianSection(cover.E, cover.M),
-                        AbelianSection(P, center(P))):
+        # M as a general section of its cover, as well as P's own sections
+        for section in (*_sections(P), AbelianSection(cover.E, cover.M)):
             reps = section.representatives()
+            sections += 1
+            reps_count += len(reps)
+            v_inv = _inverse(section.V)
+            assert reps == [section.N.from_coords(v_inv[idx])
+                            for idx, _ in section.torsion]
             for i, x in enumerate(reps):
                 assert section.coords(x) == tuple(
                     int(i == j) for j in range(len(reps)))
+    assert (sections, reps_count) == (643, 1073)
 
 
 def test_tails_system_holds_no_dense_square():
@@ -365,7 +399,7 @@ def _epicenter_via_section(cover):
         for g in gs:
             c = msec.coords(E.commutator(zhat, g))
             row.extend(ci * (N // d) for ci, d in zip(c, msec.divisors))
-        rows.append(row)
+        rows.append({j: x for j, x in enumerate(row) if x})
     snf = smith_normal_form(rows, ncols=len(gs) * len(msec.divisors))
     diag = snf.diagonal + [0] * (len(zs) - snf.rank)
     gens = []
