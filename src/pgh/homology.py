@@ -1,6 +1,6 @@
 """Schur multipliers via the covering-group tails algorithm, stem covers,
-abelian tensor machinery, the class-two exact-sequence map g, and the
-trilinear/quadrilinear commutator maps on central quotients.
+orders of spans of coordinate vectors, the class-two exact-sequence map g,
+and the trilinear/quadrilinear commutator maps on central quotients.
 
 The tails method: adjoin one central generator of infinite order to every
 power rule and every commutator rule, re-run all consistency overlaps in
@@ -127,6 +127,9 @@ class StemCover:
         self.M = M
         self.chains = chains
         self.divisors = divisors
+        # (chain, p^i) of each generator of M, laid out chain after chain
+        self._places = [(c, E.p ** i) for c, chain in enumerate(chains)
+                        for i in range(len(chain))]
 
     def project(self, x):
         return tuple(x[:self.base.ngens])
@@ -139,10 +142,14 @@ class StemCover:
 
     def multiplier_coords(self, x):
         """Coordinates of x in M: sum_i x[chain[i]] p^i for each chain."""
-        if any(x[:self.base.ngens]):
+        n = self.base.ngens
+        if any(x[:n]):
             raise ValueError("element is not in the multiplier M")
-        return tuple(sum(x[g] * self.E.p ** i for i, g in enumerate(chain))
-                     for chain in self.chains)
+        coords = [0] * len(self.chains)
+        for (c, q), e in zip(self._places, x[n:]):
+            if e:
+                coords[c] += e * q
+        return tuple(coords)
 
 
 def _base_p_word(value, chain, p):
@@ -261,57 +268,34 @@ def exterior_square_order(P):
     return e_derived
 
 
-# -- tensor images ---------------------------------------------------
+# -- orders of spans in coordinates ------------------------------------
 
 
-class TensorGroup:
-    """The tensor product of two abelian sections, as explicit vectors.
+def _span_order(moduli, vectors):
+    """Order of the subgroup of (+) Z/m_i generated by integer vectors.
 
-    Elements are tuples over the (i, j) grid with entry (i, j) taken
-    modulo gcd(a_i, b_j).
+    Each entry is reduced mod its modulus; the rows m_i e_i are appended,
+    so the cokernel of all the rows is the quotient by the span.
     """
+    if not moduli:
+        return 1
+    rows = [{j: x % m for j, (x, m) in enumerate(zip(v, moduli)) if x % m}
+            for v in vectors]
+    rows += [{i: m} for i, m in enumerate(moduli)]
+    snf = smith_normal_form(rows, ncols=len(moduli))
+    assert snf.rank == len(moduli)
+    return math.prod(moduli) // math.prod(snf.diagonal)
 
-    def __init__(self, A, B):
-        self.A = A
-        self.B = B
-        self.moduli = [math.gcd(a, b) for a in A.divisors for b in B.divisors]
 
-    @property
-    def order(self):
-        result = 1
-        for g in self.moduli:
-            result *= g
-        return result
-
-    def simple(self, ca, cb):
-        """The simple tensor of elements with the given section coordinates."""
-        nb = len(self.B.divisors)
-        out = []
-        for i in range(len(self.A.divisors)):
-            for j in range(nb):
-                out.append((ca[i] * cb[j]) % self.moduli[i * nb + j])
-        return tuple(out)
-
-    def pair(self, x, y):
-        """Simple tensor of x in A's section and y in B's section."""
-        return self.simple(self.A.coords(x), self.B.coords(y))
-
-    def add(self, u, v):
-        return tuple((a + b) % m for a, b, m in zip(u, v, self.moduli))
-
-    def subgroup_order(self, vectors):
-        """Order of the subgroup generated by the given vectors."""
-        t = len(self.moduli)
-        if t == 0:
-            return 1
-        rows = [{j: x for j, x in enumerate(v) if x} for v in vectors]
-        rows += [{i: m} for i, m in enumerate(self.moduli)]
-        snf = smith_normal_form(rows, ncols=t)
-        covol = 1
-        for d in snf.diagonal:
-            covol *= d
-        assert snf.rank == t
-        return self.order // covol
+def _tensor_span_order(A, B, sums):
+    """Order of the subgroup of A (x) B generated by sums of simple
+    tensors; each sum is a list of pairs of A- and B-coordinates, and
+    entry (i, j) lies in Z/gcd(a_i, b_j), in A-major order."""
+    moduli = [math.gcd(a, b) for a in A.divisors for b in B.divisors]
+    return _span_order(moduli, [
+        [sum(col) for col in
+         zip(*([a * b for a in ca for b in cb] for ca, cb in pairs))]
+        for pairs in sums])
 
 
 # -- the class-two exact-sequence map ---------------------------------
@@ -339,6 +323,8 @@ def be_sequence(P):
 
     g(x (x) zG') = [x^, z^] computed in a stem cover; requires class
     exactly 2 (so that commutators of lifts of G' elements land in M).
+    Each g-value is read in M's chain coordinates, so the image order and
+    the kernel checks are computed in (+) C_d.
     """
     series = lower_central_series(P)
     if len(series) - 1 != 2:
@@ -348,19 +334,24 @@ def be_sequence(P):
     derived = series[1]
     sa = AbelianSection(P, derived)
     sb = AbelianSection(P, full_subgroup(P), derived)
-    tensor_type = tensor_abelian(sa.type, sb.type)
 
-    def g_value(x, z):
-        return E.commutator(cover.lift(x), cover.lift(z))
+    def g_coords(x, z):
+        try:
+            return cover.multiplier_coords(
+                E.commutator(cover.lift(x), cover.lift(z)))
+        except ValueError:
+            raise AssertionError("image of g escapes M") from None
 
-    image_gens = [g_value(x, z)
-                  for x in sa.representatives() for z in sb.representatives()]
-    for v in image_gens:
-        if not cover.M.contains(v):
-            raise AssertionError("image of g escapes M")
-    image = subgroup_closure(E, image_gens) if image_gens else trivial_subgroup(E)
-    tensor_order = tensor_type.order
-    kernel_order = tensor_order // image.order
+    def vanishes(*coords):
+        """True when the g-values with these coordinates multiply to 1."""
+        return all(sum(xs) % d == 0
+                   for d, xs in zip(cover.divisors, zip(*coords)))
+
+    zs = sb.representatives()
+    image_order = _span_order(cover.divisors, [
+        g_coords(x, z) for x in sa.representatives() for z in zs])
+    tensor_order = tensor_abelian(sa.type, sb.type).order
+    kernel_order = tensor_order // image_order
 
     m_order = cover.M.order
     qm_order = abelian_multiplier(sb.type).order
@@ -370,28 +361,18 @@ def be_sequence(P):
 
     # the stated kernel generators: Jacobi-type triples and w^(p^s) (x) w
     gens = P.gens()
-    jacobi_ok = True
-    for a in range(len(gens)):
-        for b in range(len(gens)):
-            for c in range(len(gens)):
-                x, y, z = gens[a], gens[b], gens[c]
-                val = E.mult(g_value(P.commutator(x, y), z),
-                             E.mult(g_value(P.commutator(z, x), y),
-                                    g_value(P.commutator(y, z), x)))
-                if val != E.identity():
-                    jacobi_ok = False
+    r = range(len(gens))
+    comm = {(a, b): P.commutator(gens[a], gens[b]) for a in r for b in r}
+    g = {(a, b, c): g_coords(comm[a, b], gens[c])
+         for a in r for b in r for c in r}
+    jacobi_ok = all(vanishes(g[a, b, c], g[c, a, b], g[b, c, a])
+                    for a, b, c in g)
     ps = sb.type.exponent
-    power_ok = True
-    probes = list(gens)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            probes.append(P.mult(gens[i], gens[j]))
-    for w in probes:
-        if g_value(P.pow(w, ps), w) != E.identity():
-            power_ok = False
+    probes = gens + [P.mult(gens[i], gens[j]) for i in r for j in r if i < j]
+    power_ok = all(vanishes(g_coords(P.pow(w, ps), w)) for w in probes)
     return ExactSequenceReport(
         tensor_order=tensor_order,
-        image_order=image.order,
+        image_order=image_order,
         kernel_order=kernel_order,
         multiplier_order=m_order,
         quotient_multiplier_order=qm_order,
@@ -418,20 +399,16 @@ def psi2_image(P):
     series = lower_central_series(P)
     derived = series[1]
     gamma3 = series[2] if len(series) > 2 else trivial_subgroup(P)
-    src = central_quotient_section(P)
+    reps = central_quotient_section(P).representatives()
     ta = AbelianSection(P, derived, gamma3)
     tb = AbelianSection(P, full_subgroup(P), derived)
-    T = TensorGroup(ta, tb)
-    reps = src.representatives()
-    vecs = []
-    for x in reps:
-        for y in reps:
-            for z in reps:
-                v = T.pair(P.commutator(x, y), z)
-                v = T.add(v, T.pair(P.commutator(z, x), y))
-                v = T.add(v, T.pair(P.commutator(y, z), x))
-                vecs.append(v)
-    return T.subgroup_order(vecs)
+    r = range(len(reps))
+    xy = {(a, b): ta.coords(P.commutator(reps[a], reps[b]))
+          for a in r for b in r}
+    z = [tb.coords(x) for x in reps]
+    return _tensor_span_order(ta, tb, [
+        [(xy[a, b], z[c]), (xy[c, a], z[b]), (xy[b, c], z[a])]
+        for a in r for b in r for c in r])
 
 
 def psi3_image(P):
@@ -444,21 +421,19 @@ def psi3_image(P):
     gamma4 = series[3] if len(series) > 3 else trivial_subgroup(P)
     src = central_quotient_section(P)
     ta = AbelianSection(P, gamma3, gamma4)
-    T = TensorGroup(ta, src)
     reps = src.representatives()
-    vecs = []
-    for x in reps:
-        for y in reps:
-            xy = P.commutator(x, y)
-            for z in reps:
-                for w in reps:
-                    zw = P.commutator(z, w)
-                    v = T.pair(P.commutator(xy, z), w)
-                    v = T.add(v, T.pair(P.commutator(w, xy), z))
-                    v = T.add(v, T.pair(P.commutator(zw, x), y))
-                    v = T.add(v, T.pair(P.commutator(y, zw), x))
-                    vecs.append(v)
-    return T.subgroup_order(vecs)
+    r = range(len(reps))
+    xy = {(a, b): P.commutator(reps[a], reps[b]) for a in r for b in r}
+    # [[x, y], z] and [z, [x, y]] in gamma3/gamma4, keyed (x, y, z)
+    left = {(a, b, c): ta.coords(P.commutator(xy[a, b], reps[c]))
+            for a in r for b in r for c in r}
+    right = {(a, b, c): ta.coords(P.commutator(reps[c], xy[a, b]))
+             for a in r for b in r for c in r}
+    w = [src.coords(x) for x in reps]
+    return _tensor_span_order(ta, src, [
+        [(left[a, b, c], w[d]), (right[a, b, d], w[c]),
+         (left[c, d, a], w[b]), (right[c, d, b], w[a])]
+        for a in r for b in r for c in r for d in r])
 
 
 @dataclass(frozen=True)

@@ -898,8 +898,6 @@ class StructureStats:
     d: int              # minimal generator count
     nilpotency_class: int
     quotient_type: AbelianType   # type of G/G'
-    quotient_exponent: int
-    homocyclic: bool
 
 
 @per_presentation
@@ -922,8 +920,6 @@ def structure_stats(P):
         d=qt.rank,
         nilpotency_class=nilpotency_class(P),
         quotient_type=qt,
-        quotient_exponent=qt.exponent,
-        homocyclic=qt.is_homocyclic(),
     )
 
 

@@ -179,10 +179,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def to_json_dict(self):
-        return {"name": self.name, "pass": self.passed,
-                "applicable": self.applicable}
-
 
 def check_attainer_conditions(P):
     """The battery of structural conditions tied to bound attainment.
@@ -269,8 +265,8 @@ def check_quotient_attainment(P):
     layer = _central_derived_elementary_layer(P)
     r = len(layer.basis)
     central = []
-    # one subgroup of order p per projective point of the layer
-    seen = set()
+    # one subgroup of order p per projective point of the layer: distinct
+    # points of an elementary abelian layer span distinct subgroups
     for coords in itertools.product(range(p), repeat=r):
         if not any(coords):
             continue
@@ -278,12 +274,7 @@ def check_quotient_attainment(P):
         if coords[first] != 1:
             continue
         x = layer.from_coords(coords)
-        K = subgroup_closure(P, [x])
-        key = tuple(sorted(K.basis))
-        if key in seen:
-            continue
-        seen.add(key)
-        Q, _ = quotient(P, K)
+        Q, _ = quotient(P, subgroup_closure(P, [x]))
         actual2 = 2 * log_p(schur_multiplier(Q).order, p)
         # |G/K| = p^(n-1) and |(G/K)'| = p^(k-1)
         expected2 = _doubled(n - 1, k - 1, d)[2]

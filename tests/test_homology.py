@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgh import catalog
+from pgh import catalog, homology
 from pgh.capability import epicenter
-from pgh.homology import (_check_stem_extension, abelian_multiplier,
+from pgh.homology import (ExactSequenceReport, WedgeInequalityReport,
+                          _check_stem_extension, abelian_multiplier,
                           be_sequence, central_quotient_section,
                           exterior_square_order, psi2_image, psi3_image,
                           schur_multiplier, stem_cover, tails_system,
@@ -22,7 +23,8 @@ from pgh.pcp import (AbelianSection, AbelianType, PcPresentation,
                      _central_part, abelianization_type, center,
                      derived_subgroup, direct_product, frattini_subgroup,
                      full_subgroup, log_p, lower_central_series,
-                     nilpotency_class, structure_stats, subgroup_closure)
+                     nilpotency_class, structure_stats, subgroup_closure,
+                     trivial_subgroup)
 from pgh.snf import smith_normal_form
 from pgh.verify import sweep_universe
 from test_snf import densify
@@ -223,6 +225,14 @@ def test_psi_images():
     assert psi2_image(catalog.extraspecial_e1(3)) == 1
     assert psi2_image(catalog.g5(3)) == 3
     assert psi3_image(catalog.g5(3)) == 1
+    # [DERIVED] the maximal-class groups of order p^4 (odd p): a nontrivial
+    # quadrilinear image, of order p
+    for p in (3, 5):
+        groups = dict(sweep_universe(p, 4))
+        for i in range(12, 16):
+            P = groups[f"order_p4_{i}"]
+            assert nilpotency_class(P) == 3
+            assert (psi2_image(P), psi3_image(P)) == (1, p)
 
 
 @pytest.mark.slow
@@ -257,6 +267,183 @@ def test_wedge_inequality_rejects_high_class():
     assert nilpotency_class(P) == 4
     with pytest.raises(ValueError):
         thm25_check(P)
+
+
+# -- the coordinate checks against the tensor-group route -------------
+#
+# be_sequence, psi2_image and psi3_image as they were before they read
+# their orders off coordinates: the image of g closed as a subgroup of the
+# cover, and the psi images spanned in an explicit tensor group.
+
+
+class _TensorGroup:
+    """The tensor product of two abelian sections, as explicit vectors.
+
+    Elements are tuples over the (i, j) grid with entry (i, j) taken
+    modulo gcd(a_i, b_j).
+    """
+
+    def __init__(self, A, B):
+        self.A = A
+        self.B = B
+        self.moduli = [math.gcd(a, b) for a in A.divisors for b in B.divisors]
+
+    @property
+    def order(self):
+        result = 1
+        for g in self.moduli:
+            result *= g
+        return result
+
+    def simple(self, ca, cb):
+        nb = len(self.B.divisors)
+        out = []
+        for i in range(len(self.A.divisors)):
+            for j in range(nb):
+                out.append((ca[i] * cb[j]) % self.moduli[i * nb + j])
+        return tuple(out)
+
+    def pair(self, x, y):
+        return self.simple(self.A.coords(x), self.B.coords(y))
+
+    def add(self, u, v):
+        return tuple((a + b) % m for a, b, m in zip(u, v, self.moduli))
+
+    def subgroup_order(self, vectors):
+        t = len(self.moduli)
+        if t == 0:
+            return 1
+        rows = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+        rows += [{i: m} for i, m in enumerate(self.moduli)]
+        snf = smith_normal_form(rows, ncols=t)
+        covol = 1
+        for d in snf.diagonal:
+            covol *= d
+        assert snf.rank == t
+        return self.order // covol
+
+
+def _be_sequence_reference(P):
+    cover = stem_cover(P)
+    E = cover.E
+    derived = lower_central_series(P)[1]
+    sa = AbelianSection(P, derived)
+    sb = AbelianSection(P, full_subgroup(P), derived)
+    tensor_type = tensor_abelian(sa.type, sb.type)
+
+    def g_value(x, z):
+        return E.commutator(cover.lift(x), cover.lift(z))
+
+    image_gens = [g_value(x, z)
+                  for x in sa.representatives() for z in sb.representatives()]
+    for v in image_gens:
+        if not cover.M.contains(v):
+            raise AssertionError("image of g escapes M")
+    image = (subgroup_closure(E, image_gens) if image_gens
+             else trivial_subgroup(E))
+    tensor_order = tensor_type.order
+    kernel_order = tensor_order // image.order
+    m_order = cover.M.order
+    qm_order = abelian_multiplier(sb.type).order
+    k_order = derived.order
+    identity_ok = (kernel_order * m_order * k_order
+                   == tensor_order * qm_order)
+    gens = P.gens()
+    jacobi_ok = True
+    for x, y, z in itertools.product(gens, repeat=3):
+        val = E.mult(g_value(P.commutator(x, y), z),
+                     E.mult(g_value(P.commutator(z, x), y),
+                            g_value(P.commutator(y, z), x)))
+        if val != E.identity():
+            jacobi_ok = False
+    ps = sb.type.exponent
+    probes = list(gens)
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            probes.append(P.mult(gens[i], gens[j]))
+    power_ok = all(g_value(P.pow(w, ps), w) == E.identity() for w in probes)
+    return ExactSequenceReport(
+        tensor_order=tensor_order, image_order=image.order,
+        kernel_order=kernel_order, multiplier_order=m_order,
+        quotient_multiplier_order=qm_order, derived_order=k_order,
+        order_identity_ok=identity_ok, jacobi_in_kernel=jacobi_ok,
+        power_in_kernel=power_ok)
+
+
+def _psi2_reference(P):
+    series = lower_central_series(P)
+    derived = series[1]
+    gamma3 = series[2] if len(series) > 2 else trivial_subgroup(P)
+    src = central_quotient_section(P)
+    T = _TensorGroup(AbelianSection(P, derived, gamma3),
+                     AbelianSection(P, full_subgroup(P), derived))
+    reps = src.representatives()
+    vecs = []
+    for x, y, z in itertools.product(reps, repeat=3):
+        v = T.pair(P.commutator(x, y), z)
+        v = T.add(v, T.pair(P.commutator(z, x), y))
+        v = T.add(v, T.pair(P.commutator(y, z), x))
+        vecs.append(v)
+    return T.subgroup_order(vecs)
+
+
+def _psi3_reference(P):
+    series = lower_central_series(P)
+    if len(series) - 1 < 3:
+        return 1
+    gamma4 = series[3] if len(series) > 3 else trivial_subgroup(P)
+    src = central_quotient_section(P)
+    T = _TensorGroup(AbelianSection(P, series[2], gamma4), src)
+    reps = src.representatives()
+    vecs = []
+    for x, y, z, w in itertools.product(reps, repeat=4):
+        xy, zw = P.commutator(x, y), P.commutator(z, w)
+        v = T.pair(P.commutator(xy, z), w)
+        v = T.add(v, T.pair(P.commutator(w, xy), z))
+        v = T.add(v, T.pair(P.commutator(zw, x), y))
+        v = T.add(v, T.pair(P.commutator(y, zw), x))
+        vecs.append(v)
+    return T.subgroup_order(vecs)
+
+
+def _thm25_reference(P):
+    st = structure_stats(P)
+    p = P.p
+    lhs = exterior_square_order(P) * _psi2_reference(P) * _psi3_reference(P)
+    rhs = abelian_multiplier(st.quotient_type).order * p ** (st.k * st.d)
+    return WedgeInequalityReport(lhs_exponent=log_p(lhs, p),
+                                 rhs_exponent=log_p(rhs, p), holds=lhs <= rhs)
+
+
+@pytest.mark.parametrize("p,groups,class2", [(2, 20, 9), (3, 30, 17),
+                                              (5, 29, 17)])
+def test_coordinate_checks_agree_with_the_tensor_group_route(p, groups,
+                                                             class2):
+    counts = [0, 0]
+    for name, P in sweep_universe(p, 4, deep=True):
+        cls = nilpotency_class(P)
+        assert cls <= 3
+        if cls == 2:
+            assert be_sequence(P) == _be_sequence_reference(P), name
+            counts[1] += 1
+        assert psi2_image(P) == _psi2_reference(P), name
+        assert psi3_image(P) == _psi3_reference(P), name
+        assert thm25_check(P) == _thm25_reference(P), name
+        counts[0] += 1
+    assert counts == [groups, class2]
+
+
+def test_be_sequence_rejects_an_image_outside_m(monkeypatch):
+    # hand be_sequence the cover of a maximal-class group of the same
+    # order: there a lift of G' does not commute with every lift, so some
+    # g-value has a nonzero exponent below M
+    groups = dict(sweep_universe(3, 4))
+    P, Q = groups["order_p4_8"], groups["order_p4_12"]
+    assert (nilpotency_class(P), nilpotency_class(Q)) == (2, 3)
+    cover = stem_cover(Q)
+    monkeypatch.setattr(homology, "stem_cover", lambda _: cover)
+    with pytest.raises(AssertionError, match="image of g escapes M"):
+        be_sequence(P)
 
 
 # -- byte identity ----------------------------------------------------

@@ -22,9 +22,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ["verify_suites", "large_groups", "cover_multiplier", "enumerate_p4"]
-END_TO_END = json.loads((Path(__file__).resolve().parents[1]
-                         / "BENCHMARK.json").read_text())["end_to_end"]
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = BENCHMARK["end_to_end"]
 
 
 def run(checkout, workload, seed, seconds, trace):
@@ -75,7 +76,8 @@ def main():
     parser.add_argument("--checkout", action="append", required=True,
                         help="NAME=PATH, once per checkout, in pair order")
     parser.add_argument("--workload", action="extend", nargs="+",
-                        choices=WORKLOADS, help="default: all four")
+                        choices=WORKLOADS,
+                        help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
