@@ -245,7 +245,7 @@ def _suite_homology(p, deep):
             rows.append((f"exact_sequence[{name}]", be.ok(),
                          f"kernel={be.kernel_order}"))
         if st.nilpotency_class <= 3 and st.k >= 1:
-            if central_quotient_section(P).type.order <= 27 or deep:
+            if deep or central_quotient_section(P).type.order <= 27:
                 w = thm25_check(P)
                 rows.append((f"wedge_inequality[{name}]", w.holds,
                              f"{w.lhs_exponent}<={w.rhs_exponent}"))

@@ -447,17 +447,23 @@ def per_presentation(fn):
     The result is stored in a dict on P, never in a module-level cache,
     so it lives exactly as long as P.  Arguments are bound to `fn`'s
     signature with defaults filled in, so `fn(P)` and `fn(P, x=default)`
-    share one entry.  Keys hold the function's name rather than the
-    function, so the dict pickles with P.
+    share one entry; every argument after P needs a default, and a call
+    that passes P alone uses the key of the defaults, bound once here.
+    Keys hold the function's name rather than the function, so the dict
+    pickles with P.
     """
     signature = inspect.signature(fn)
     name = f"{fn.__module__}.{fn.__qualname__}"
 
+    def key_of(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return (name,) + bound.args[1:]
+    default_key = key_of(None)
+
     @functools.wraps(fn)
     def memoized(P, *args, **kwargs):
-        bound = signature.bind(P, *args, **kwargs)
-        bound.apply_defaults()
-        key = (name,) + bound.args[1:]
+        key = key_of(P, *args, **kwargs) if args or kwargs else default_key
         if key not in P._memo:
             P._memo[key] = fn(P, *args, **kwargs)
         return P._memo[key]

@@ -11,6 +11,17 @@ touch only those rows, and the pivot search reads each row's smallest
 U and V are returned, with U * A * V = D; V^-1 is not kept, since its
 first rank rows are (U * A) / D.  At the end (U * A) * V is
 re-multiplied from the sparse rows and every row is compared with D's.
+
+Every quotient q that clears an entry a against a pivot p is the integer
+nearest to a / p, the floor quotient on a tie: q = -((p - 2a) // (2p)),
+the ceiling of a / p - 1/2, for either sign of p.  The remainder
+a - q * p is then at most |p| / 2 in magnitude, so each remainder swap
+at least halves the pivot.  With the floor quotient a remainder could be
+almost |p|, and U and V grew to a million bits on small dense matrices
+and to over a thousand on the tails matrix of a stem cover; the nearest
+quotient keeps both under a hundred bits there (Havas, Majewski and
+Matthews, Experimental Math. 7 (1998)).  Some random dense input still
+grows, because nothing reduces the trailing block between pivots.
 """
 
 
@@ -199,13 +210,13 @@ def smith_normal_form(rows, ncols):
         while True:
             progressed = False
             for i in sorted(r for r in col_rows[t] if r > t):
-                q = a[i][t] // a[t][t]
+                q = -((a[t][t] - 2 * a[i][t]) // (2 * a[t][t]))
                 add_row(t, i, -q)
                 if t in a[i]:
                     swap_rows(t, i)
                     progressed = True
             for j in sorted(k for k in a[t] if k > t):
-                q = a[t][j] // a[t][t]
+                q = -((a[t][t] - 2 * a[t][j]) // (2 * a[t][t]))
                 add_col(t, j, -q)
                 if j in a[t]:
                     swap_cols(t, j)
@@ -230,7 +241,7 @@ def smith_normal_form(rows, ncols):
                     x, y = a[i][i], a[i + 1].get(i, 0)
                     if not y:
                         break
-                    q = y // x
+                    q = -((x - 2 * y) // (2 * x))
                     add_row(i, i + 1, -q)
                     if i in a[i + 1]:
                         swap_rows(i, i + 1)
@@ -238,7 +249,7 @@ def smith_normal_form(rows, ncols):
                     x, y = a[i][i], a[i].get(i + 1, 0)
                     if not y:
                         break
-                    q = y // x
+                    q = -((x - 2 * y) // (2 * x))
                     add_col(i, i + 1, -q)
                     if i + 1 in a[i]:
                         swap_cols(i, i + 1)

@@ -27,7 +27,7 @@ from pgh.pcp import (AbelianSection, AbelianType, PcPresentation,
                      trivial_subgroup)
 from pgh.snf import smith_normal_form
 from pgh.verify import sweep_universe
-from test_snf import densify
+from test_snf import densify, transform_bits
 
 
 def _abelian_presentation(p, divisors):
@@ -449,10 +449,11 @@ def test_be_sequence_rejects_an_image_outside_m(monkeypatch):
 # -- byte identity ----------------------------------------------------
 
 # sha256 of the tails systems and stem covers below, recorded from the
-# dense Smith normal form that the sparse one replaced; any change to the
-# collector's order of rule applications or to the SNF pivots moves it.
+# Smith normal form with nearest-integer quotients; any change to the
+# collector's order of rule applications, to the SNF pivots or to its
+# quotient rule moves it.
 TAILS_AND_COVERS_SHA256 = (
-    "399413531e50b1fe5a396d5b06414c76c28456b397a3802c6139c4b6893c8472")
+    "7c46c101d84677c8182771f3ebe0f93a0872bb561b7e06a3584d636fb71e437e")
 
 
 def _digest_groups():
@@ -533,6 +534,15 @@ def test_section_representatives_are_the_rows_of_v_inverse():
                 assert section.coords(x) == tuple(
                     int(i == j) for j in range(len(reps)))
     assert (sections, reps_count) == (643, 1073)
+
+
+def test_tails_snf_of_a_cover_keeps_small_transforms():
+    # the 355 x 120 tails matrix of the cover of G4(3,3): with the floor
+    # quotient U reached 1,352 bits and V 312; now 67 and 53
+    ts = tails_system(stem_cover(catalog.g4(3, 3)).E)
+    res = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count)
+    assert (res.rows, res.cols) == (355, 120)
+    assert transform_bits(res) <= 128
 
 
 def test_tails_system_holds_no_dense_square():

@@ -1,6 +1,7 @@
 """Invariants are computed once per presentation and stored on it."""
 
 import gc
+import inspect
 import pickle
 import weakref
 
@@ -37,6 +38,25 @@ def test_decorator_runs_body_once_per_presentation_and_arguments():
     assert probe(P, 1) is not first
     assert probe(Q) is not first
     assert runs == [(P, 0), (P, 1), (Q, 0)]
+
+
+def test_call_with_p_alone_binds_no_arguments():
+    runs = []
+
+    @per_presentation
+    def probe(P, x=0):
+        runs.append((P, x))
+        return [x]
+
+    P = catalog.g2(3, 2)
+    first = probe(P, x=0)
+    with mock.patch.object(inspect.Signature, "bind",
+                           side_effect=AssertionError("bound")):
+        assert probe(P) is first
+        Q = catalog.g2(3, 2)
+        assert probe(Q) is probe(Q)
+    assert probe(Q, 0) is probe(Q)
+    assert runs == [(P, 0), (Q, 0)]
 
 
 @pytest.mark.parametrize("fn", MEMOIZED, ids=lambda fn: fn.__name__)

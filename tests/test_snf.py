@@ -1,5 +1,8 @@
 """Smith normal form: exact transforms, divisibility chain, cokernel."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +32,12 @@ def dense_transforms(res):
     return densify(res.U, res.rows), densify(res.V, res.cols, columns=True)
 
 
+def transform_bits(res):
+    """The bit length of the largest |entry| of U and V."""
+    return max((abs(x).bit_length() for vec in (*res.U, *res.V)
+                for x in vec.values()), default=0)
+
+
 def bareiss_determinant(m):
     """Exact determinant of a square integer matrix by fraction-free
     (Bareiss) elimination; every division is exact."""
@@ -51,7 +60,8 @@ def bareiss_determinant(m):
 
 # -- the dense implementation the sparse one must reproduce exactly ------
 # (this module's mat_mul and smith_normal_form before they skipped zeros,
-# returning a tuple instead of a SmithResult)
+# returning a tuple instead of a SmithResult, with the same nearest
+# quotient: the ceiling of a / p - 1/2)
 
 
 def _reference_mat_mul(a, b):
@@ -132,14 +142,14 @@ def _reference_smith_normal_form(matrix, ncols=None):
             progressed = False
             for i in range(t + 1, nrows):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
+                    q = -((a[t][t] - 2 * a[i][t]) // (2 * a[t][t]))
                     add_row(t, i, -q)
                     if a[i][t]:
                         swap_rows(t, i)
                         progressed = True
             for j in range(t + 1, ncols):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
+                    q = -((a[t][t] - 2 * a[t][j]) // (2 * a[t][t]))
                     add_col(t, j, -q)
                     if a[t][j]:
                         swap_cols(t, j)
@@ -164,7 +174,7 @@ def _reference_smith_normal_form(matrix, ncols=None):
                     x, y = a[i][i], a[i + 1][i]
                     if not y:
                         break
-                    q = y // x
+                    q = -((x - 2 * y) // (2 * x))
                     add_row(i, i + 1, -q)
                     if a[i + 1][i]:
                         swap_rows(i, i + 1)
@@ -172,7 +182,7 @@ def _reference_smith_normal_form(matrix, ncols=None):
                     x, y = a[i][i], a[i][i + 1]
                     if not y:
                         break
-                    q = y // x
+                    q = -((x - 2 * y) // (2 * x))
                     add_col(i, i + 1, -q)
                     if a[i][i + 1]:
                         swap_cols(i, i + 1)
@@ -250,6 +260,26 @@ def test_bareiss_determinant():
     assert bareiss_determinant([[0, 2, 1], [3, 0, 0], [1, 1, 1]]) == -3
 
 
+# With the floor quotient these took 8.2 s, with 1,196,358-bit entries in
+# U, and more than a minute; the nearest quotient needs at most 97 bits.
+SMALL_DENSE_BLOW_UPS = [
+    ([[1, -27, -27, 0, 1, 2], [9, 2, -1, 0, -1, -27],
+      [-1, -27, -27, -27, -27, 1], [-27, 2, 0, 0, 9, 9],
+      [9, 1, -27, 0, 2, 9]],
+     [1, 1, 1, 1, 3]),
+    ([[-27, 2, 9, 2, 0, 3], [1, -1, 0, 0, 9, -27], [-27, 1, 0, -27, 0, 9],
+      [-1, -1, 0, 9, -27, 1], [3, 1, 9, -27, 0, 1], [-27, -1, 0, 9, 0, 1]],
+     [1, 1, 1, 1, 9, 1996452]),
+]
+
+
+@pytest.mark.parametrize("m, diagonal", SMALL_DENSE_BLOW_UPS)
+def test_small_dense_matrix_keeps_small_transforms(m, diagonal):
+    res = smith_normal_form(sparse(m), ncols=len(m[0]))
+    assert res.diagonal == diagonal
+    assert transform_bits(res) <= 128
+
+
 # -- properties -------------------------------------------------------
 
 
@@ -288,12 +318,13 @@ def sparse_tall(draw, max_rows, max_cols, bound):
     return m, c
 
 
-# Dense 5 x 5 matrices with entries up to 30 can make the coefficients of
-# U and V grow to millions of bits, in the reference too (ROADMAP, "Fix
-# first"), so larger shapes draw smaller entries.  Tails matrices are tall
-# and almost all zeros; at up to one nonzero in ten, about 3.5% of 30 x 20
-# shapes with entries up to 9 grow the same way, so those draw at most one
-# nonzero in twenty.
+# Dense 6 x 6 matrices with entries up to 30 can still make the entries of
+# A, U and V grow to hundreds of thousands of bits, nearest quotients or
+# not (8 of 60 random draws took over 3 s, against 50 of 60 with floor
+# quotients; ROADMAP, "Fix first"), so larger shapes draw smaller entries.
+# Tails matrices are tall and almost all zeros; at one nonzero in ten, 30 x
+# 20 matrices with entries up to 9 grow the same way, so those draw at most
+# one nonzero in twenty.
 reference_cases = st.one_of(shaped(6, 2), shaped(4, 30),
                             sparse_tall(30, 20, 9))
 
@@ -315,6 +346,28 @@ def test_transforms_are_unimodular(m):
     u, v = dense_transforms(res)
     assert abs(bareiss_determinant(u)) == 1
     assert abs(bareiss_determinant(v)) == 1
+
+
+def minors_gcd(m, k):
+    """The gcd of the k x k minors of m."""
+    g = 0
+    for rows in combinations(range(len(m)), k):
+        for cols in combinations(range(len(m[0])), k):
+            g = gcd(g, bareiss_determinant([[m[i][j] for j in cols]
+                                            for i in rows]))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_diagonal_products_are_the_gcds_of_the_minors(m):
+    # an oracle that shares no step with the elimination: d_1 ... d_k is
+    # the gcd of the k x k minors, which all vanish past the rank
+    res = smith_normal_form(sparse(m), ncols=len(m[0]))
+    product = 1
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        product = product * res.diagonal[k - 1] if k <= res.rank else 0
+        assert minors_gcd(m, k) == product
 
 
 @settings(max_examples=250, deadline=None)
