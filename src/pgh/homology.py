@@ -14,6 +14,7 @@ ones the consistency check enumerates (`pcp._overlaps`).
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 
 from .pcp import (AbelianSection, AbelianType, PcPresentation, Subgroup,
                   _overlaps, _tail_count, _tail_slot, abelianization_type,
@@ -65,7 +66,7 @@ def tails_system(P):
         tails = defaultdict(int, x[1])
         for slot, c in y[1].items():
             tails[slot] += c
-        P._collect_into(vec, [(i, e) for i, e in enumerate(y[0]) if e], tails)
+        P._collect_into(vec, compress(enumerate(y[0]), y[0]), tails)
         return tuple(vec), tails
 
     # one dict per block, used as an ordered set, in the order of the rows;
@@ -245,11 +246,11 @@ def _check_stem_extension(P, E):
     |E/E'| = |G/G'| |M : M & E'|; the orders agree iff M <= E'.
     M <= Z(E): in a consistent presentation a missing rule (j, i) means
     [g_j, g_i] = 1, so M is central iff no rule has a letter of M on
-    its left-hand side.
+    its left-hand side: iff M lies in E's trailing central block.
     """
     if abelianization_type(E).order != abelianization_type(P).order:
         raise AssertionError("M is not contained in E'")
-    if any(j >= P.ngens for j, _ in E.comm):
+    if E._central_start > P.ngens:
         raise AssertionError("M is not central in E")
 
 

@@ -18,6 +18,7 @@ import contextvars
 import functools
 import inspect
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .snf import mat_mul, smith_normal_form
 
@@ -158,6 +159,8 @@ class PcPresentation(metaclass=_SharedWithinBlock):
             w = tuple(w)
             if w:
                 self.comm[(j, i)] = w
+        # the c of `is_consistent`: g_(c+1) ... g_N have no commutator rule
+        self._central_start = 1 + max((j for j, _ in self.comm), default=-1)
         self.labels = dict(labels or {})
         for i, w in enumerate(self.power):
             _validate_word(w, i, ngens, p)
@@ -206,11 +209,33 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         rules each carry one central tail (laid out by `_tail_slot`), and
         `tails` counts in place the tails of the rules applied.  It is any
         counter indexed by slot: a list, or a `defaultdict(int)`.
+
+        Without `tails`, g moves left only past the letters before the
+        central block B = g_(c+1) ... g_N of `is_consistent`, where c is
+        `_central_start`; the letters of B stay in place.  This is exact:
+        - No rule has a letter g_t of B on its left, so passing g over g_t
+          applies the rule g_t g = g g_t, and leaving g_t where it is
+          applies the same rule.
+        - B alone is a consistent presentation of an abelian group A (part
+          (b) of `is_consistent`'s lemma), and a power word of B lies in B.
+          Outside B the collector applies the same rules in the same order
+          whether B is walked or left, so B's part of the result is the
+          sum in A of the same letters, which does not depend on the order
+          they are added in.
+        - So the overlap verdict of `is_consistent` cannot change.  In any
+          case it does not depend on the order of collection: two overlap
+          words that collect to one normal form are joinable, and two
+          distinct normal forms of one word refute consistency (Newman's
+          lemma; Sims, Computation with Finitely Presented Groups, ch. 9).
+        With `tails` every pair has a tail slot, rule or no rule, and the
+        order of rule applications fixes V and so the stem cover: there B
+        is walked one unit at a time.
         """
         p = self.p
         n = self.ngens
         power = self.power
         comm = self.comm
+        top = n if tails is not None else self._central_start
         stack = list(word)[::-1]
         pop, push, extend = stack.pop, stack.append, stack.extend
         while stack:
@@ -228,12 +253,12 @@ class PcPresentation(metaclass=_SharedWithinBlock):
                 extend((h, -f) for h, f in power[g])
                 push((g, p - 1))
                 continue
-            if any(vec[g + 1:]):
+            if any(vec[g + 1:top]):
                 # multiply by a single g, moving it left past the tail
                 if e > 1:
                     push((g, e - 1))
                 pending = []
-                for t in range(g + 1, n):
+                for t in range(g + 1, top):
                     ct = vec[t]
                     if ct:
                         vec[t] = 0
@@ -272,7 +297,7 @@ class PcPresentation(metaclass=_SharedWithinBlock):
 
     def mult(self, x, y):
         vec = list(x)
-        self._collect_into(vec, [(i, e) for i, e in enumerate(y) if e])
+        self._collect_into(vec, compress(enumerate(y), y))
         return tuple(vec)
 
     def solve(self, x, y):
@@ -327,13 +352,15 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         """True when the presentation E defines a group of order p^N.
 
         Only the overlaps among g_1 ... g_c run, where g_c is the last
-        generator with a commutator rule (c = 0 when there is none).  No
+        generator with a commutator rule (c = 0 when there is none); c is
+        `_central_start`, so it is also the 0-based index of g_(c+1).  No
         rule has one of g_(c+1) ... g_N on its left-hand side, so they form
         a central block B, and their power words lie in B, since a rule
-        word only uses later generators.  The p-cover and p-quotient
-        algorithms skip the same overlaps (Vaughan-Lee, "An aspect of the
-        nilpotent quotient algorithm", 1984; Newman-O'Brien, J. Symb.
-        Comput. 21, 1996).
+        word only uses later generators.  The untailed collector leaves B
+        in place (`_collect_into`).  The p-cover and p-quotient algorithms
+        skip the same overlaps (Vaughan-Lee, "An aspect of the nilpotent
+        quotient algorithm", 1984; Newman-O'Brien, J. Symb. Comput. 21,
+        1996).
 
         Lemma: E is consistent iff its overlaps among g_1 ... g_c hold.
         If E is consistent, every element has one normal form, so every
@@ -356,8 +383,7 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         Then |E| = p^c p^(N-c) = p^N, and the overlaps that involve a
         letter of B hold as well.
         """
-        c = 1 + max((j for j, _ in self.comm), default=-1)
-        gens = [self.gen(i) for i in range(c)]
+        gens = [self.gen(i) for i in range(self._central_start)]
         return all(lhs == rhs for _, lhs, rhs in
                    _overlaps(self.p, gens, self.mult, self.collect))
 

@@ -260,9 +260,19 @@ def _reference_sift(S, x):
 
 @functools.cache
 def _solve_groups():
-    """SMALL_TABLES and two stem covers, of 14 and 15 generators."""
+    """SMALL_TABLES, two stem covers of 14 and 15 generators, Z_9^3, where
+    the whole vector is the trailing central block, and the stem cover of
+    E1(7), where M's letters run past what p = 3 allows."""
     return SMALL_TABLES + [stem_cover(catalog.g5(3)).E,
-                           stem_cover(catalog.g4(3, 3)).E]
+                           stem_cover(catalog.g4(3, 3)).E,
+                           catalog.homocyclic(3, 2, 3),
+                           stem_cover(catalog.extraspecial_e1(7)).E]
+
+
+def test_solve_groups_reach_the_central_block():
+    homocyclic, cover = _solve_groups()[-2:]
+    assert homocyclic._central_start == 0
+    assert (cover.p, cover.ngens, cover._central_start) == (7, 5, 3)
 
 
 @settings(max_examples=200, deadline=None)
