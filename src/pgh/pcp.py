@@ -79,8 +79,8 @@ def _is_prime(n):
 def log_p(value, p):
     """The exponent e with p^e == value; raises ValueError otherwise."""
     e = 0
-    while value > 1:
-        if value % p:
+    while value != 1:
+        if value < 1 or value % p:
             raise ValueError(f"{value} is not a power of {p}")
         value //= p
         e += 1

@@ -3,14 +3,19 @@
 Entries are Python ints, so there is no overflow to worry about.  The
 matrices met here are almost all zeros, so they are sparse from end to
 end: the input is a list of sparse rows, {column: value} dicts, with the
-column count given, and the reduction keeps A and U as sparse rows and V
-as sparse columns, dicts that never hold a zero.  An index from each
+column count given, and the reduction keeps A as sparse rows and V as
+sparse columns, dicts that never hold a zero.  An index from each
 column of A to the rows with a nonzero there lets a column operation
 touch only those rows, and the pivot search reads each row's smallest
 |entry| from a cache that an operation on the row resets.  The diagonal,
 U and V are returned, with U * A * V = D; V^-1 is not kept, since its
-first rank rows are (U * A) / D.  At the end (U * A) * V is
-re-multiplied from the sparse rows and every row is compared with D's.
+first rank rows are (U * A) / D.  U is not built during the reduction:
+each row operation that changes A is logged, and U, the product of the
+logged operations, is built on first read by replaying the log on the
+identity rows.  The self-check replays the same log on the rows of A * V,
+multiplied from the caller's rows, and compares every row with D's, off
+the diagonal too: it proves U * A * V = D for exactly the U handed out,
+so a log that misses or adds an operation fails unless U is valid anyway.
 
 Every quotient q that clears an entry a against a pivot p is the integer
 nearest to a / p, the floor quotient on a tie: q = -((p - 2a) // (2p)),
@@ -23,6 +28,8 @@ quotient keeps both under a hundred bits there (Havas, Majewski and
 Matthews, Experimental Math. 7 (1998)).  Some random dense input still
 grows, because nothing reduces the trailing block between pivots.
 """
+
+from functools import cached_property
 
 
 def mat_mul(a, b):
@@ -50,6 +57,19 @@ def _add_scaled(dst, src, mult):
             del dst[k]
 
 
+def _replay(log, rows):
+    """Apply the logged row operations to sparse rows, in order and in place:
+    (i, j, 0) swaps, (i, i, -1) negates, (i, j, m) adds m * row i to j."""
+    for i, j, m in log:
+        if not m:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = {k: -x for k, x in rows[i].items()}
+        else:
+            _add_scaled(rows[j], rows[i], m)
+    return rows
+
+
 _EMPTY = float("inf")    # the smallest |entry| of an empty row
 
 
@@ -75,15 +95,19 @@ class SmithResult:
     U * A * V = D, where U and V are unimodular and the diagonal entries
     of D satisfy the divisibility chain d1 | d2 | ... .  U is a list of
     sparse rows and V a list of sparse columns, {index: value} dicts
-    without zeros: V[j] is column j of V.
+    without zeros: V[j] is column j of V, and U is built on first read.
     """
 
-    def __init__(self, rows, cols, diagonal, U, V):
+    def __init__(self, rows, cols, diagonal, log, V):
         self.rows = rows
         self.cols = cols
         self.diagonal = diagonal
-        self.U = U
+        self._log = log
         self.V = V
+
+    @cached_property
+    def U(self):
+        return _replay(self._log, [{i: 1} for i in range(self.rows)])
 
     @property
     def rank(self):
@@ -111,7 +135,7 @@ def smith_normal_form(rows, ncols):
     # operation that changes a row's values resets its entry to None, and
     # the search recomputes it
     row_min = [None] * nrows
-    u = [{i: 1} for i in range(nrows)]
+    log = []                                # the row operations, for U
     v = [{j: 1} for j in range(ncols)]      # the columns of V
 
     def swap_rows(i, j):
@@ -127,7 +151,7 @@ def smith_normal_form(rows, ncols):
             rows.remove(j)
             rows.add(i)
         a[i], a[j] = aj, ai
-        u[i], u[j] = u[j], u[i]
+        log.append((i, j, 0))
         row_min[i], row_min[j] = row_min[j], row_min[i]
 
     def swap_cols(i, j):
@@ -159,7 +183,7 @@ def smith_normal_form(rows, ncols):
                 del drow[k]
                 col_rows[k].remove(dst)
         row_min[dst] = None
-        _add_scaled(u[dst], u[src], mult)
+        log.append((src, dst, mult))
 
     def add_col(src, dst, mult):
         if not mult:
@@ -181,7 +205,7 @@ def smith_normal_form(rows, ncols):
 
     def negate_row(i):
         a[i] = {k: -x for k, x in a[i].items()}
-        u[i] = {k: -x for k, x in u[i].items()}
+        log.append((i, i, -1))
 
     t = 0
     limit = min(nrows, ncols)
@@ -264,13 +288,13 @@ def smith_normal_form(rows, ncols):
     for x, y in zip(diagonal, diagonal[1:]):
         if y % x:
             raise AssertionError("divisibility chain violated")
-    # (U * A) * V, with V's columns turned into rows
+    # U * (A * V): A * V with V's columns turned into rows, then the log
     v_rows = [{} for _ in range(ncols)]
     for j, col in enumerate(v):
         for i, x in col.items():
             v_rows[i][j] = x
-    d = mat_mul(mat_mul(u, rows), v_rows)
+    d = _replay(log, mat_mul(rows, v_rows))
     for i, row in enumerate(d):
         if row != ({i: diagonal[i]} if i < len(diagonal) else {}):
             raise AssertionError("smith normal form self-check failed")
-    return SmithResult(nrows, ncols, diagonal, u, v)
+    return SmithResult(nrows, ncols, diagonal, log, v)

@@ -7,7 +7,7 @@ from pgh.capability import (epicenter, epicenter_crosscheck, exterior_pair,
                             is_capable)
 from pgh.cli import _catalog_groups
 from pgh.homology import stem_cover
-from pgh.pcp import derived_subgroup, subgroup_closure
+from pgh.pcp import AbelianSection, center, derived_subgroup, subgroup_closure
 from test_pcp import _center_reference
 
 
@@ -23,6 +23,28 @@ from test_pcp import _center_reference
 ])
 def test_capable_groups(builder):
     assert is_capable(stem_cover(builder()))
+
+
+@pytest.mark.parametrize("builder, reps, epi", [
+    (catalog.quaternion8, [(0, 0, 1)], [(0, 0, 1)]),
+    (lambda: catalog.cyclic(3, 3), [(1, 0, 0)],
+     [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (lambda: catalog.modular_group(3, 4), [(0, 0, 1, 0)],
+     [(0, 0, 1, 0), (0, 0, 0, 1)]),
+    (lambda: catalog.central_product_e1_cyclic(3), [(0, 0, 1, 0)],
+     [(0, 0, 0, 1)]),
+    (catalog.semidihedral16, [(0, 0, 0, 1)], [(0, 0, 0, 1)]),
+    (lambda: catalog.g2(3, 3),
+     [(0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0)],
+     []),
+    (lambda: catalog.homocyclic(3, 2, 2), [(1, 0, 0, 0), (0, 0, 1, 0)], []),
+])
+def test_u_readers_give_the_recorded_results(builder, reps, epi):
+    # the two readers of an SNF's U, recorded while U was built during
+    # the reduction; it is now replayed from the log of row operations
+    P = builder()
+    assert AbelianSection(P, center(P)).representatives() == reps
+    assert list(epicenter(stem_cover(P)).basis) == epi
 
 
 @pytest.mark.slow

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgh.snf
 from pgh import catalog, homology
 from pgh.capability import epicenter
 from pgh.homology import (ExactSequenceReport, WedgeInequalityReport,
@@ -543,6 +544,26 @@ def test_tails_snf_of_a_cover_keeps_small_transforms():
     res = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count)
     assert (res.rows, res.cols) == (355, 120)
     assert transform_bits(res) <= 128
+
+
+def test_a_multiplier_never_builds_u(monkeypatch):
+    # M(G) reads the diagonal and V of the tails SNF only, so its log of
+    # row operations is never replayed onto identity rows to build U;
+    # the epicenter reads U, which shows that the count sees it
+    replay = pgh.snf._replay
+    built = []
+
+    def counted(log, rows):
+        if all(row == {i: 1} for i, row in enumerate(rows)):
+            built.append(len(rows))
+        return replay(log, rows)
+
+    monkeypatch.setattr(pgh.snf, "_replay", counted)
+    P = catalog.g4(3, 3)
+    assert schur_multiplier(P) == AbelianType.from_divisors([27, 27])
+    assert built == []
+    assert not epicenter(stem_cover(P)).basis
+    assert built
 
 
 def test_tails_system_holds_no_dense_square():

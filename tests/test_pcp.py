@@ -763,8 +763,9 @@ def test_check_prime_large_values():
 
 def test_log_p():
     assert [log_p(v, 3) for v in (1, 3, 9, 3 ** 20)] == [0, 1, 2, 20]
-    with pytest.raises(ValueError):
-        log_p(12, 2)
+    for value, p in ((12, 2), (0, 3), (-1, 3), (-3, 3)):
+        with pytest.raises(ValueError, match="not a power of"):
+            log_p(value, p)
 
 
 # -- the center before it became a kernel (pcp.center and

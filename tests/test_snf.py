@@ -409,23 +409,42 @@ def test_self_check_multiplies_u_a_v_through_the_module(monkeypatch):
     monkeypatch.setattr(pgh.snf, "mat_mul", counted)
     m = sparse([[6, 4, 2], [2, 8, 4], [0, 0, 10], [1, 0, 3]])
     res = smith_normal_form(m, ncols=3)
-    assert len(calls) == 2
-    (a1, b1, ua), (a2, b2, _) = calls
-    # A is the caller's rows, not a copy; V is passed as its rows
-    assert a1 is res.U and len(b1) == len(m)
-    assert all(x is y for x, y in zip(b1, m))
-    assert a2 is ua and densify(b2, 3) == densify(res.V, 3, columns=True)
+    # one product, A * V: A is the caller's rows, not a copy, and V is
+    # passed as its rows; the logged row operations, replayed on the
+    # product's own rows, turn it into D
+    assert len(calls) == 1
+    ((a, b, av),) = calls
+    assert a is m and all(x is y for x, y in zip(a, m))
+    assert densify(b, 3) == densify(res.V, 3, columns=True)
+    assert av == [{0: 1}, {1: 2}, {2: 20}, {}]
 
     # every entry of U * A * V is compared with D, off the diagonal too
     def corrupted(a, b):
         out = mat_mul(a, b)
-        if b[0] is not m[0]:
-            out[-1][0] = out[-1].get(0, 0) + 1
+        out[-1][0] = out[-1].get(0, 0) + 1
         return out
 
     monkeypatch.setattr(pgh.snf, "mat_mul", corrupted)
     with pytest.raises(AssertionError, match="self-check failed"):
         smith_normal_form(m, ncols=3)
+
+    # so is a log that differs from the operations A received: here one
+    # multiplier of an added row is off by one when the check replays it
+    replay = pgh.snf._replay
+    replays = []
+
+    def miscounted(log, rows):
+        k = next(k for k, (i, j, mult) in enumerate(log) if mult and i != j)
+        i, j, mult = log[k]
+        log[k] = (i, j, mult + 1)
+        replays.append(k)
+        return replay(log, rows)
+
+    monkeypatch.setattr(pgh.snf, "mat_mul", mat_mul)
+    monkeypatch.setattr(pgh.snf, "_replay", miscounted)
+    with pytest.raises(AssertionError, match="self-check failed"):
+        smith_normal_form(m, ncols=3)
+    assert len(replays) == 1
 
 
 # -- malformed input ----------------------------------------------------
