@@ -13,7 +13,8 @@ same reason.
 import math
 
 from .homology import stem_cover
-from .pcp import AbelianSection, center, frattini_subgroup, subgroup_closure
+from .pcp import (AbelianSection, center, frattini_subgroup, log_p,
+                  subgroup_closure)
 from .snf import smith_normal_form
 
 
@@ -31,6 +32,13 @@ def epicenter(cover):
     Row j of A holds the chain coordinates of [z_j^, g_i^] in M, scaled to the
     modulus N = exp M; with U*A*V = D, the kernel mod N is spanned by the
     rows (N / gcd(N, d_i)) * U_i, where d_i = 0 past the rank.
+
+    The SNF runs mod p^e, p^e = p * max(N, o_j) for the orders o_j of the
+    z_j.  Since N | p^e and V is invertible mod p^e, x*A = 0 (mod N) iff
+    y*D = 0 (mod N) for y = x*U^-1 (mod p^e), iff each y_i is a multiple
+    of N / gcd(N, d_i), where d_i = p^v with v < e, or 0 past the rank.
+    So the rows above span the kernel up to p^e * Z^k, and every o_j
+    divides p^e, so z_j^(p^e) = 1 and those vectors give the identity.
     """
     P, E = cover.base, cover.E
     zg = center(P)
@@ -50,7 +58,8 @@ def epicenter(cover):
                 if ci:
                     row[i * w + k] = ci * (N // d)
         rows.append(row)
-    snf = smith_normal_form(rows, ncols=len(gs) * w)
+    snf = smith_normal_form(rows, ncols=len(gs) * w, p=P.p,
+                            e=log_p(max((N, *zsec.divisors)), P.p) + 1)
     diag = snf.diagonal + [0] * (len(zs) - snf.rank)
     gens = []
     for u, d in zip(snf.U, diag):

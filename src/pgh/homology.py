@@ -26,8 +26,8 @@ from .snf import smith_normal_form
 
 class TailsSystem:
     """Relation matrix of the tailed covering presentation, as sparse
-    {slot: value} rows, with what `stem_cover` reads of its SNF: the
-    diagonal and V, as sparse columns.
+    {slot: value} rows, with what `stem_cover` reads of its SNF mod
+    p^(n+1): the diagonal and V, invertible mod p^(n+1), as sparse columns.
 
     The cokernel of the relation matrix is Z^N x M(G); the free rank is
     asserted equal to the generator count N.  It holds no reference to
@@ -51,6 +51,10 @@ def tails_system(P):
     The row order decides U, V and so the stem cover, so rows are kept per
     overlap block as they stream, then joined in a fixed block order, each
     distinct nonzero row at its first occurrence.
+
+    The SNF runs mod p^(n+1): its cokernel is Z^N x M(G), and by Schur
+    exp M(G) divides |G| = p^n, so every torsion invariant is p^v with
+    v <= n < n + 1, and the free rank checked below is N.
     """
     n = P.ngens
     ntails = _tail_count(n)
@@ -85,7 +89,7 @@ def tails_system(P):
     rows = [dict(row) for row in
             dict.fromkeys(row for block in blocks.values() for row in block)]
 
-    snf = smith_normal_form(rows, ncols=ntails)
+    snf = smith_normal_form(rows, ncols=ntails, p=P.p, e=n + 1)
     if snf.cokernel_free_rank() != n:
         raise AssertionError(
             f"tails cokernel free rank {snf.cokernel_free_rank()} != {n}")
@@ -272,18 +276,22 @@ def exterior_square_order(P):
 # -- orders of spans in coordinates ------------------------------------
 
 
-def _span_order(moduli, vectors):
-    """Order of the subgroup of (+) Z/m_i generated by integer vectors.
+def _span_order(p, moduli, vectors):
+    """Order of the subgroup of (+) Z/m_i generated by integer vectors,
+    for moduli m_i that are powers of p.
 
     Each entry is reduced mod its modulus; the rows m_i e_i are appended,
-    so the cokernel of all the rows is the quotient by the span.
+    so the cokernel of all the rows is the quotient by the span.  That
+    quotient of (+) Z/m_i has free rank 0 and exponent dividing the
+    largest m_i = p^k, so the SNF runs mod p^(k+1).
     """
     if not moduli:
         return 1
     rows = [{j: x % m for j, (x, m) in enumerate(zip(v, moduli)) if x % m}
             for v in vectors]
     rows += [{i: m} for i, m in enumerate(moduli)]
-    snf = smith_normal_form(rows, ncols=len(moduli))
+    snf = smith_normal_form(rows, ncols=len(moduli), p=p,
+                            e=log_p(max(moduli), p) + 1)
     assert snf.rank == len(moduli)
     return math.prod(moduli) // math.prod(snf.diagonal)
 
@@ -293,7 +301,7 @@ def _tensor_span_order(A, B, sums):
     tensors; each sum is a list of pairs of A- and B-coordinates, and
     entry (i, j) lies in Z/gcd(a_i, b_j), in A-major order."""
     moduli = [math.gcd(a, b) for a in A.divisors for b in B.divisors]
-    return _span_order(moduli, [
+    return _span_order(A.P.p, moduli, [
         [sum(col) for col in
          zip(*([a * b for a in ca for b in cb] for ca, cb in pairs))]
         for pairs in sums])
@@ -349,7 +357,7 @@ def be_sequence(P):
                    for d, xs in zip(cover.divisors, zip(*coords)))
 
     zs = sb.representatives()
-    image_order = _span_order(cover.divisors, [
+    image_order = _span_order(P.p, cover.divisors, [
         g_coords(x, z) for x in sa.representatives() for z in zs])
     tensor_order = tensor_abelian(sa.type, sb.type).order
     kernel_order = tensor_order // image_order

@@ -78,11 +78,11 @@ def _is_prime(n):
 
 def log_p(value, p):
     """The exponent e with p^e == value; raises ValueError otherwise."""
-    e = 0
-    while value != 1:
-        if value < 1 or value % p:
+    e, rest = 0, value
+    while rest != 1:
+        if rest < 1 or rest % p:
             raise ValueError(f"{value} is not a power of {p}")
-        value //= p
+        rest //= p
         e += 1
     return e
 
@@ -851,10 +851,14 @@ class AbelianSection:
             rows.append(row)
         for b in M.basis:
             rows.append({j: c for j, c in enumerate(N.coords(b)) if c})
-        snf = smith_normal_form(rows, ncols=len(N.basis))
+        # |N/M| <= p^L, L = len(N.basis), so every invariant is p^v with
+        # v <= L; e = 2L + 1 leaves e - v > L for `representatives`
+        snf = smith_normal_form(rows, ncols=len(N.basis), p=P.p,
+                                e=2 * len(N.basis) + 1)
         if snf.cokernel_free_rank():
             raise AssertionError("abelian section has unexpected free rank")
         self.V = snf.V
+        self._modulus = snf.modulus
         self.torsion = [(idx, d) for idx, d in enumerate(snf.diagonal) if d > 1]
         self.divisors = tuple(d for _, d in self.torsion)
         # what `representatives` reads: U's torsion rows and the relations
@@ -876,17 +880,20 @@ class AbelianSection:
         """One element of N per invariant generator of the section.
 
         The generator of index idx has the coordinates of row idx of
-        V^-1.  U*A*V = D gives U*A = D*V^-1, and the free rank is 0, so
-        every torsion index is below the rank and that row is
-        (U_idx * A) / d_idx.
+        V^-1.  U*A*V = D (mod p^e) gives U*A = D*V^-1 (mod p^e), and the
+        free rank is 0, so every torsion index is below the rank, and
+        (U_idx * A) / d_idx is that row mod p^(e-v), d_idx = p^v.  As
+        e - v > L, that is mod a multiple of the order of every element
+        of N, which has order p^L, so it gives the generator exactly.
         """
         m = len(self.N.basis)
+        q = self._modulus
         reps = []
         for ua, (_, d) in zip(mat_mul(self._torsion_u, self._rows),
                               self.torsion):
-            if any(x % d for x in ua.values()):
+            if any(x % q % d for x in ua.values()):
                 raise AssertionError("U * A is not divisible by D")
-            reps.append(self.N.from_coords([ua.get(j, 0) // d
+            reps.append(self.N.from_coords([ua.get(j, 0) % q // d
                                             for j in range(m)]))
         return reps
 
@@ -903,7 +910,10 @@ def abelianization_type(P):
     Abelianising a pc presentation turns g_i^p = w into the row
     p*e_i - eps(w) and [g_j, g_i] = w into the row eps(w), where eps(w)
     is the exponent-sum vector of w; G/G' is the cokernel of these rows.
-    No subgroup is closed and no element is collected.
+    No subgroup is closed and no element is collected.  The power rows
+    alone are triangular with p on the diagonal, so G/G' has order
+    dividing p^n, free rank 0 and invariants p^v with v <= n: the SNF
+    runs mod p^(n+1).
     """
     rows = []
     for i, w in enumerate(P.power):
@@ -916,8 +926,10 @@ def abelianization_type(P):
         for g, e in w:
             row[g] = row.get(g, 0) + e
         rows.append(row)
-    return AbelianType.from_divisors(
-        smith_normal_form(rows, ncols=P.ngens).diagonal)
+    snf = smith_normal_form(rows, ncols=P.ngens, p=P.p, e=P.ngens + 1)
+    if snf.cokernel_free_rank():
+        raise AssertionError("abelianization has unexpected free rank")
+    return AbelianType.from_divisors(snf.diagonal)
 
 
 # -- structure stats -------------------------------------------------

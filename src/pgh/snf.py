@@ -1,35 +1,39 @@
-"""Exact Smith normal form over the integers, with transformation matrices.
+"""Smith normal form over Z/p^e, with transformation matrices.
 
-Entries are Python ints, so there is no overflow to worry about.  The
-matrices met here are almost all zeros, so they are sparse from end to
-end: the input is a list of sparse rows, {column: value} dicts, with the
-column count given, and the reduction keeps A as sparse rows and V as
-sparse columns, dicts that never hold a zero.  An index from each
-column of A to the rows with a nonzero there lets a column operation
-touch only those rows, and the pivot search reads each row's smallest
-|entry| from a cache that an operation on the row resets.  The diagonal,
-U and V are returned, with U * A * V = D; V^-1 is not kept, since its
-first rank rows are (U * A) / D.  U is not built during the reduction:
-each row operation that changes A is logged, and U, the product of the
-logged operations, is built on first read by replaying the log on the
-identity rows.  The self-check replays the same log on the rows of A * V,
-multiplied from the caller's rows, and compares every row with D's, off
-the diagonal too: it proves U * A * V = D for exactly the U handed out,
-so a log that misses or adds an operation fails unless U is valid anyway.
+Every matrix pgh reduces is p-local, and its caller bounds the exponent
+of the cokernel's torsion by p^(e-1), so the form is taken mod q = p^e
+(Domich, Kannan and Trotter, Math. Oper. Res. 12 (1987); Cohen, A Course
+in Computational Algebraic Number Theory, 2.4).  Entries are symmetric
+residues in (-q/2, q/2], so they cannot grow and small ones stay small.
+Each step takes a pivot of least p-valuation v: the row of least
+(gcd(q, *row), min |entry|), both computed in C, so a +-1 pivot comes
+first, and in it the smallest entry of valuation v, leftmost on a tie.
+It scales the pivot row so the pivot is p^v, then clears its column in
+one pass of row operations and its row in one pass of column operations.
+What is left of the block is a multiple of p^v, so the diagonal comes
+out in valuation order and the divisibility chain holds by construction.
 
-Every quotient q that clears an entry a against a pivot p is the integer
-nearest to a / p, the floor quotient on a tie: q = -((p - 2a) // (2p)),
-the ceiling of a / p - 1/2, for either sign of p.  The remainder
-a - q * p is then at most |p| / 2 in magnitude, so each remainder swap
-at least halves the pivot.  With the floor quotient a remainder could be
-almost |p|, and U and V grew to a million bits on small dense matrices
-and to over a thousand on the tails matrix of a stem cover; the nearest
-quotient keeps both under a hundred bits there (Havas, Majewski and
-Matthews, Experimental Math. 7 (1998)).  Some random dense input still
-grows, because nothing reduces the trailing block between pivots.
+A is kept as sparse rows and V as sparse columns, {index: value} dicts
+that never hold a zero, with an index from each column of A to its
+nonzero rows and a cache of each row's pivot key.  V^-1 is not kept,
+since its first rank rows are (U * A) / D.  Each row operation is
+logged, and U is built on first read by replaying the log on the
+identity rows.  The self-check replays the same log on the rows of
+A * V mod q and compares every row with D's, off the diagonal too, so it
+proves U * A * V = D (mod q) for exactly the U handed out.
+
+A check mod q suffices.  U and V are invertible over Z_(p), the integers
+localised at p, and there U * A * V = D + q * R.  Each pivot p^v, v < e,
+clears the multiples of q in its row and column, so the cokernel of A
+over Z_(p) is the sum of the Z/p^v and the cokernel of q * R', R' the
+trailing block of R.  A caller that knows the free rank of the cokernel
+checks that it is cols - rank; then R' has rank 0, so R' = 0, and the
+diagonal is exactly the cokernel's p-torsion.  The epicenter reads a
+kernel mod a divisor of q, for which the congruence is enough.
 """
 
 from functools import cached_property
+from math import gcd
 
 
 def mat_mul(a, b):
@@ -46,95 +50,108 @@ def mat_mul(a, b):
     return out
 
 
-def _add_scaled(dst, src, mult):
-    """dst += mult * src on sparse vectors, for a nonzero mult; entries
-    that cancel are dropped."""
-    for k, x in src.items():
-        y = dst.get(k, 0) + mult * x
+def _scaled(row, mult, q):
+    """The nonzero symmetric residues mod q of mult * row, as a new dict."""
+    out = {}
+    for k, x in row.items():
+        y = mult * x % q
         if y:
-            dst[k] = y
+            out[k] = y - q if 2 * y > q else y
+    return out
+
+
+def _add_scaled(dst, src, mult, q):
+    """dst += mult * src mod q on sparse vectors of symmetric residues;
+    entries that vanish are dropped."""
+    for k, x in src.items():
+        y = (dst.get(k, 0) + mult * x) % q
+        if y:
+            dst[k] = y - q if 2 * y > q else y
         else:
-            del dst[k]
+            dst.pop(k, None)
 
 
-def _replay(log, rows):
-    """Apply the logged row operations to sparse rows, in order and in place:
-    (i, j, 0) swaps, (i, i, -1) negates, (i, j, m) adds m * row i to j."""
+def _replay(log, rows, q):
+    """Apply the logged row operations to sparse rows mod q, in order and
+    in place: (i, j, 0) swaps, (i, i, u) scales row i by the unit u, and
+    (i, j, m) adds m * row i to row j."""
     for i, j, m in log:
         if not m:
             rows[i], rows[j] = rows[j], rows[i]
         elif i == j:
-            rows[i] = {k: -x for k, x in rows[i].items()}
+            rows[i] = _scaled(rows[i], m, q)
         else:
-            _add_scaled(rows[j], rows[i], m)
+            _add_scaled(rows[j], rows[i], m, q)
     return rows
 
 
-_EMPTY = float("inf")    # the smallest |entry| of an empty row
+_EMPTY = float("inf")    # the pivot key of an empty row
 
 
-def _sparse_row(row, ncols):
-    """The nonzeros of a row, a dict from [0, ncols) to ints, as a new
-    dict; any other row raises ValueError."""
+def _sparse_row(row, ncols, q):
+    """The nonzero residues mod q of a row, a dict from [0, ncols) to
+    ints, as a new dict; any other row raises ValueError."""
     if not isinstance(row, dict):
         raise ValueError(f"row {row!r} is not a {{column: value}} dict")
-    out = {}
     for j, x in row.items():
         if not isinstance(j, int) or not 0 <= j < ncols:
             raise ValueError(f"sparse index {j!r} outside [0, {ncols})")
         if not isinstance(x, int):
             raise ValueError(f"matrix entry {x!r} is not an integer")
-        if x:
-            out[j] = x
-    return out
+    return _scaled(row, 1, q)
 
 
 class SmithResult:
-    """Diagonal form of an integer matrix together with its transforms.
+    """Diagonal form of an integer matrix mod p^e with its transforms.
 
-    U * A * V = D, where U and V are unimodular and the diagonal entries
-    of D satisfy the divisibility chain d1 | d2 | ... .  U is a list of
-    sparse rows and V a list of sparse columns, {index: value} dicts
-    without zeros: V[j] is column j of V, and U is built on first read.
+    U * A * V = D (mod modulus = p^e), where U and V are invertible mod
+    p^e and the diagonal entries of D are powers p^v, v < e, in
+    increasing order, so d1 | d2 | ... .  U is a list of sparse rows and
+    V a list of sparse columns, {index: residue} dicts without zeros:
+    V[j] is column j of V, and U is built on first read.
     """
 
-    def __init__(self, rows, cols, diagonal, log, V):
+    def __init__(self, rows, cols, diagonal, log, V, modulus):
         self.rows = rows
         self.cols = cols
         self.diagonal = diagonal
         self._log = log
         self.V = V
+        self.modulus = modulus
 
     @cached_property
     def U(self):
-        return _replay(self._log, [{i: 1} for i in range(self.rows)])
+        return _replay(self._log, [{i: 1} for i in range(self.rows)],
+                       self.modulus)
 
     @property
     def rank(self):
         return len(self.diagonal)
 
     def cokernel_free_rank(self):
-        """Free rank of Z^cols / rowspace(A)."""
+        """Free rank of Z^cols / rowspace(A), for a caller whose bound on
+        the exponent of the torsion is below p^e."""
         return self.cols - self.rank
 
 
-def smith_normal_form(rows, ncols):
-    """Compute the Smith normal form of an integer matrix.
+def smith_normal_form(rows, ncols, p, e):
+    """Compute the Smith normal form of an integer matrix over Z/p^e.
 
     `rows` is a list of sparse {column: value} dicts with columns in
-    [0, ncols).  Returns a SmithResult.  Pivots are chosen smallest
-    magnitude first, rows before columns, so the result is deterministic.
+    [0, ncols); p is a prime and e >= 1.  Returns a SmithResult.  The
+    pivot rule is deterministic, so the result is too.
     """
+    q = p ** e
+    half = q // 2
     nrows = len(rows)
-    a = [_sparse_row(row, ncols) for row in rows]
+    a = [_sparse_row(row, ncols, q) for row in rows]
     col_rows = [set() for _ in range(ncols)]
     for i, row in enumerate(a):
         for j in row:
             col_rows[j].add(i)
-    # the smallest |entry| of each row, read by the pivot search; an
-    # operation that changes a row's values resets its entry to None, and
-    # the search recomputes it
-    row_min = [None] * nrows
+    # the pivot key of each row, read by the pivot search; a row operation
+    # resets the row's key to None, and the search recomputes it
+    row_key = [None] * nrows
     log = []                                # the row operations, for U
     v = [{j: 1} for j in range(ncols)]      # the columns of V
 
@@ -152,7 +169,7 @@ def smith_normal_form(rows, ncols):
             rows.add(i)
         a[i], a[j] = aj, ai
         log.append((i, j, 0))
-        row_min[i], row_min[j] = row_min[j], row_min[i]
+        row_key[i], row_key[j] = row_key[j], row_key[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -169,132 +186,74 @@ def smith_normal_form(rows, ncols):
         v[i], v[j] = v[j], v[i]
 
     def add_row(src, dst, mult):
-        if not mult:
-            return
         drow = a[dst]
         for k, x in a[src].items():
             old = drow.get(k, 0)
-            y = old + mult * x
+            y = (old + mult * x) % q
             if y:
-                drow[k] = y
+                drow[k] = y - q if y > half else y
                 if not old:
                     col_rows[k].add(dst)
-            else:
+            elif old:
                 del drow[k]
                 col_rows[k].remove(dst)
-        row_min[dst] = None
+        row_key[dst] = None
         log.append((src, dst, mult))
 
-    def add_col(src, dst, mult):
-        if not mult:
-            return
-        dst_rows = col_rows[dst]
-        for r in col_rows[src]:
-            row = a[r]
-            old = row.get(dst, 0)
-            y = old + mult * row[src]
-            if y:
-                row[dst] = y
-                if not old:
-                    dst_rows.add(r)
-            else:
-                del row[dst]
-                dst_rows.remove(r)
-            row_min[r] = None
-        _add_scaled(v[dst], v[src], mult)
-
-    def negate_row(i):
-        a[i] = {k: -x for k, x in a[i].items()}
-        log.append((i, i, -1))
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        # locate the smallest-magnitude nonzero pivot in the trailing block,
-        # first in row-major order; nothing is smaller than a unit.  Rows
-        # from t on have no nonzero left of column t.
+    diagonal = []
+    for t in range(min(nrows, ncols)):
+        # the row of least key in the trailing block, first in row order;
+        # nothing beats a +-1.  Rows from t on are zero left of column t.
         pivot, best = None, _EMPTY
         for i in range(t, nrows):
-            val = row_min[i]
-            if val is None:
-                val = row_min[i] = min(map(abs, a[i].values()),
-                                       default=_EMPTY)
-            if val < best:
-                pivot, best = i, val
-                if best == 1:
+            key = row_key[i]
+            if key is None:
+                # (gcd, min |entry|) as one int, since min |entry| < q
+                vals = a[i].values()
+                if vals:
+                    m = min(map(abs, vals))
+                    key = m if m % p else m + q * (gcd(q, *vals) - 1)
+                else:
+                    key = _EMPTY
+                row_key[i] = key
+            if key < best:
+                pivot, best = i, key
+                if key == 1:
                     break
         if pivot is None:
             break
-        pj = min(j for j, x in a[pivot].items() if abs(x) == best)
+        d = best // q + 1                   # p^v, v the pivot's valuation
         swap_rows(t, pivot)
+        row = a[t]
+        _, pj = min((abs(x), j) for j, x in row.items() if x % (d * p))
         swap_cols(t, pj)
-        # clear the pivot row and column; repeat until both are clean.  An
-        # operation for row (column) i changes no later row (column) of the
-        # pass, so each pass can list its rows (columns) at the start.
-        while True:
-            progressed = False
-            for i in sorted(r for r in col_rows[t] if r > t):
-                q = -((a[t][t] - 2 * a[i][t]) // (2 * a[t][t]))
-                add_row(t, i, -q)
-                if t in a[i]:
-                    swap_rows(t, i)
-                    progressed = True
-            for j in sorted(k for k in a[t] if k > t):
-                q = -((a[t][t] - 2 * a[t][j]) // (2 * a[t][t]))
-                add_col(t, j, -q)
-                if j in a[t]:
-                    swap_cols(t, j)
-                    progressed = True
-            if not progressed:
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+        unit = row[t] // d
+        if unit != 1:
+            inverse = pow(unit, -1, q)
+            if inverse > half:
+                inverse -= q
+            row = a[t] = _scaled(row, inverse, q)
+            log.append((t, t, inverse))
+        # every entry of the block is a multiple of d: one pass of row
+        # operations clears column t, and then column t of A is d e_t, so
+        # the column operations that clear row t change only row t of A
+        for i in [r for r in col_rows[t] if r != t]:
+            add_row(t, i, -(a[i][t] // d))
+        for j in [k for k in row if k != t]:
+            _add_scaled(v[j], v[t], -(row.pop(j) // d), q)
+            col_rows[j].remove(t)
+        diagonal.append(d)
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % di:
-                changed = True
-                add_col(i + 1, i, 1)
-                # re-clear the 2x2 block
-                while True:
-                    x, y = a[i][i], a[i + 1].get(i, 0)
-                    if not y:
-                        break
-                    q = -((x - 2 * y) // (2 * x))
-                    add_row(i, i + 1, -q)
-                    if i in a[i + 1]:
-                        swap_rows(i, i + 1)
-                while True:
-                    x, y = a[i][i], a[i].get(i + 1, 0)
-                    if not y:
-                        break
-                    q = -((x - 2 * y) // (2 * x))
-                    add_col(i, i + 1, -q)
-                    if i + 1 in a[i]:
-                        swap_cols(i, i + 1)
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-
-    diagonal = [a[i][i] for i in range(t) if a[i].get(i)]
     # free the reduced matrix before the check builds its products
     del a, col_rows
-    for x, y in zip(diagonal, diagonal[1:]):
-        if y % x:
-            raise AssertionError("divisibility chain violated")
-    # U * (A * V): A * V with V's columns turned into rows, then the log
+    # U * (A * V) mod q: A * V with V's columns turned into rows, then the log
     v_rows = [{} for _ in range(ncols)]
     for j, col in enumerate(v):
         for i, x in col.items():
             v_rows[i][j] = x
-    d = _replay(log, mat_mul(rows, v_rows))
-    for i, row in enumerate(d):
+    uav = _replay(log, [_scaled(row, 1, q)
+                        for row in mat_mul(rows, v_rows)], q)
+    for i, row in enumerate(uav):
         if row != ({i: diagonal[i]} if i < len(diagonal) else {}):
             raise AssertionError("smith normal form self-check failed")
-    return SmithResult(nrows, ncols, diagonal, log, v)
+    return SmithResult(nrows, ncols, diagonal, log, v, q)

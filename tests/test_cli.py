@@ -245,7 +245,9 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
         runs.append((run_cli(*argv), calls[0]))
     (code, out), count = runs[0]
     assert code == 0 and json.loads(out)["failed"] == 0
-    assert count == 25145
+    # 25,143 since the Smith form is taken mod p^e: its V gives other
+    # stem covers, whose consistency checks collect 2 fewer words
+    assert count == 25143
     assert runs[1] == runs[0]
 
 

@@ -4,8 +4,9 @@ sequence, and the class-3 wedge inequality."""
 import hashlib
 import itertools
 import math
+import pathlib
+import signal
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -316,7 +317,9 @@ class _TensorGroup:
             return 1
         rows = [{j: x for j, x in enumerate(v) if x} for v in vectors]
         rows += [{i: m} for i, m in enumerate(self.moduli)]
-        snf = smith_normal_form(rows, ncols=t)
+        p = self.A.P.p
+        snf = smith_normal_form(rows, ncols=t, p=p,
+                                e=log_p(max(self.moduli), p) + 1)
         covol = 1
         for d in snf.diagonal:
             covol *= d
@@ -450,11 +453,11 @@ def test_be_sequence_rejects_an_image_outside_m(monkeypatch):
 # -- byte identity ----------------------------------------------------
 
 # sha256 of the tails systems and stem covers below, recorded from the
-# Smith normal form with nearest-integer quotients; any change to the
-# collector's order of rule applications, to the SNF pivots or to its
-# quotient rule moves it.
+# Smith normal form over Z/p^(n+1), which gives other U and V than the
+# integer SNF did, so other covers; any change to the collector's order
+# of rule applications, to the SNF pivots or to its modulus moves it.
 TAILS_AND_COVERS_SHA256 = (
-    "7c46c101d84677c8182771f3ebe0f93a0872bb561b7e06a3584d636fb71e437e")
+    "6a901871caa02a547fb3449726ae44d102c04a4212c20e0686bc1e50ce2f8f34")
 
 
 def _digest_groups():
@@ -473,7 +476,8 @@ def test_tails_systems_and_stem_covers_are_byte_identical():
         count += 1
         ts = tails_system(P)
         # the tails system keeps the diagonal and V; U is recomputed
-        snf = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count)
+        snf = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count,
+                                p=P.p, e=P.ngens + 1)
         assert (snf.diagonal, snf.V) == (ts.diagonal, ts.V)
         for part in (densify(ts.relation_matrix, snf.cols), snf.diagonal,
                      densify(snf.U, snf.rows),
@@ -485,22 +489,22 @@ def test_tails_systems_and_stem_covers_are_byte_identical():
     assert h.hexdigest() == TAILS_AND_COVERS_SHA256
 
 
-def _inverse(columns):
-    """The inverse of the integer matrix with these sparse columns, by
-    Gauss-Jordan elimination over the rationals; it must be integral."""
+def _inverse(columns, p, q):
+    """The inverse mod q = p^e of the matrix with these sparse columns,
+    by Gauss-Jordan elimination with unit pivots; it must be invertible."""
     m = len(columns)
-    a = [[Fraction(col.get(i, 0)) for col in columns]
-         + [Fraction(int(i == k)) for k in range(m)] for i in range(m)]
+    a = [[col.get(i, 0) % q for col in columns]
+         + [int(i == k) for k in range(m)] for i in range(m)]
     for c in range(m):
-        pivot = next(r for r in range(c, m) if a[r][c])
+        pivot = next(r for r in range(c, m) if a[r][c] % p)
         a[c], a[pivot] = a[pivot], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
+        inv = pow(a[c][c], -1, q)
+        a[c] = [x * inv % q for x in a[c]]
         for r in range(m):
             if r != c and a[r][c]:
                 f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    assert all(x.denominator == 1 for row in a for x in row[m:])
-    return [[int(x) for x in row[m:]] for row in a]
+                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[c])]
+    return [row[m:] for row in a]
 
 
 def _sections(P):
@@ -518,8 +522,9 @@ def _sections(P):
 
 
 def test_section_representatives_are_the_rows_of_v_inverse():
-    # representatives() reads V^-1's torsion rows off U * A; here V^-1 is
-    # inverted exactly, and each representative must have unit coordinates
+    # representatives() reads V^-1's torsion rows off U * A mod p^e; here
+    # V^-1 is inverted mod p^e, which is a multiple of every element
+    # order of N, and each representative must have unit coordinates
     sections = reps_count = 0
     for P in _digest_groups():
         cover = stem_cover(P)
@@ -528,7 +533,7 @@ def test_section_representatives_are_the_rows_of_v_inverse():
             reps = section.representatives()
             sections += 1
             reps_count += len(reps)
-            v_inv = _inverse(section.V)
+            v_inv = _inverse(section.V, P.p, section._modulus)
             assert reps == [section.N.from_coords(v_inv[idx])
                             for idx, _ in section.torsion]
             for i, x in enumerate(reps):
@@ -538,12 +543,41 @@ def test_section_representatives_are_the_rows_of_v_inverse():
 
 
 def test_tails_snf_of_a_cover_keeps_small_transforms():
-    # the 355 x 120 tails matrix of the cover of G4(3,3): with the floor
-    # quotient U reached 1,352 bits and V 312; now 67 and 53
-    ts = tails_system(stem_cover(catalog.g4(3, 3)).E)
-    res = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count)
-    assert (res.rows, res.cols) == (355, 120)
-    assert transform_bits(res) <= 128
+    # the tails matrix of the cover of G4(3,3), 355 x 120 from the integer
+    # SNF's V and 354 x 120 from the local one: with the floor
+    # quotient of the integer SNF U reached 1,352 bits and V 312; mod
+    # 3^16 every entry is below 3^16 / 2, 25 bits
+    E = stem_cover(catalog.g4(3, 3)).E
+    ts = tails_system(E)
+    res = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count,
+                            p=3, e=E.ngens + 1)
+    assert (res.rows, res.cols, E.ngens) == (354, 120, 15)
+    assert res.diagonal == ts.diagonal
+    assert transform_bits(res) <= 25
+
+
+SHUFFLED_COVER = (pathlib.Path(__file__).parent / "data"
+                  / "g4_3_3_shuffled_cover.json")
+
+
+def _over_budget(signum, frame):
+    raise TimeoutError("M of the shuffled-row cover took over 5 s")
+
+
+def test_multiplier_of_a_shuffled_row_cover_is_fast():
+    # a stem cover of G4(3,3) built with its 97 tails rows shuffled by
+    # random.Random(2) before the SNF; the integer SNF of this cover's
+    # own 355 x 120 tails matrix did not finish in 60 s
+    E = catalog.load(SHUFFLED_COVER)
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        M = schur_multiplier(E)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (E.ngens, len(tails_system(E).relation_matrix)) == (15, 355)
+    assert M == AbelianType.from_divisors([27, 27, 9])
 
 
 def test_a_multiplier_never_builds_u(monkeypatch):
@@ -553,10 +587,10 @@ def test_a_multiplier_never_builds_u(monkeypatch):
     replay = pgh.snf._replay
     built = []
 
-    def counted(log, rows):
+    def counted(log, rows, q):
         if all(row == {i: 1} for i, row in enumerate(rows)):
             built.append(len(rows))
-        return replay(log, rows)
+        return replay(log, rows, q)
 
     monkeypatch.setattr(pgh.snf, "_replay", counted)
     P = catalog.g4(3, 3)
@@ -618,7 +652,9 @@ def _epicenter_via_section(cover):
             c = msec.coords(E.commutator(zhat, g))
             row.extend(ci * (N // d) for ci, d in zip(c, msec.divisors))
         rows.append({j: x for j, x in enumerate(row) if x})
-    snf = smith_normal_form(rows, ncols=len(gs) * len(msec.divisors))
+    snf = smith_normal_form(rows, ncols=len(gs) * len(msec.divisors),
+                            p=P.p,
+                            e=log_p(max((N, *zsec.divisors)), P.p) + 1)
     diag = snf.diagonal + [0] * (len(zs) - snf.rank)
     gens = []
     for u, d in zip(snf.U, diag):

@@ -1,4 +1,5 @@
-"""Smith normal form: exact transforms, divisibility chain, cokernel."""
+"""Smith normal form over Z/p^e: transforms, divisibility chain, cokernel,
+checked against the integer Smith form and the gcds of the minors."""
 
 from itertools import combinations
 from math import gcd
@@ -32,6 +33,20 @@ def dense_transforms(res):
     return densify(res.U, res.rows), densify(res.V, res.cols, columns=True)
 
 
+def p_part(x, p):
+    """The largest power of p dividing the nonzero integer x."""
+    d = 1
+    while x % (d * p) == 0:
+        d *= p
+    return d
+
+
+def local_diagonal(diagonal, p, e):
+    """The diagonal over Z/p^e of a matrix whose integer Smith form has
+    this nonzero diagonal: the p-parts below p^e, in order."""
+    return [p_part(d, p) for d in diagonal if p_part(d, p) < p ** e]
+
+
 def transform_bits(res):
     """The bit length of the largest |entry| of U and V."""
     return max((abs(x).bit_length() for vec in (*res.U, *res.V)
@@ -58,10 +73,10 @@ def bareiss_determinant(m):
     return sign * a[-1][-1] if n else 1
 
 
-# -- the dense implementation the sparse one must reproduce exactly ------
-# (this module's mat_mul and smith_normal_form before they skipped zeros,
-# returning a tuple instead of a SmithResult, with the same nearest
-# quotient: the ceiling of a / p - 1/2)
+# -- the integer Smith form, dense, as a reference ----------------------
+# (this module's mat_mul and smith_normal_form before they skipped zeros
+# and before the form was taken mod p^e, returning a tuple instead of a
+# SmithResult, with the nearest quotient: the ceiling of a / p - 1/2)
 
 
 def _reference_mat_mul(a, b):
@@ -207,48 +222,66 @@ def _reference_smith_normal_form(matrix, ncols=None):
 # -- worked examples --------------------------------------------------
 
 
+def snf(m, p, e):
+    """The local Smith form of the dense matrix m, with at least one column."""
+    return smith_normal_form(sparse(m), ncols=len(m[0]), p=p, e=e)
+
+
+def assert_congruent(m, res, p, e):
+    """U * m * V = D (mod p^e), entry by entry."""
+    q = p ** e
+    u, v = dense_transforms(res)
+    d = _reference_mat_mul(_reference_mat_mul(u, m), v) if m else []
+    for i, row in enumerate(d):
+        for j, x in enumerate(row):
+            expected = res.diagonal[i] if i == j < res.rank else 0
+            assert (x - expected) % q == 0
+
+
 def test_diagonal_of_known_matrix():
     # [DERIVED] worked by hand: d1 = gcd = 2, d1*d2 = |det| = 8, so diag(2, 4)
-    res = smith_normal_form(sparse([[2, 4], [6, 8]]), ncols=2)
+    res = snf([[2, 4], [6, 8]], 2, 4)
     assert res.diagonal == [2, 4]
 
 
 def test_zero_matrix():
-    res = smith_normal_form(sparse([[0, 0], [0, 0]]), ncols=2)
+    res = snf([[0, 0], [0, 0]], 3, 2)
     assert res.diagonal == []
     assert res.rank == 0
+    # a multiple of p^e is zero mod p^e
+    assert snf([[9, 0], [0, -18]], 3, 2).diagonal == []
 
 
 def test_identity_transforms_recover_diagonal():
     m = [[6, 4, 2], [2, 8, 4], [0, 0, 10]]
-    res = smith_normal_form(sparse(m), ncols=3)
-    u, v = dense_transforms(res)
-    d = _reference_mat_mul(_reference_mat_mul(u, m), v)
-    for i in range(3):
-        for j in range(3):
-            expected = res.diagonal[i] if i == j else 0
-            assert d[i][j] == expected
+    res = snf(m, 2, 5)
+    # the integer diagonal is 2, 10, 20
+    assert res.diagonal == [2, 2, 4]
+    assert_congruent(m, res, 2, 5)
 
 
 def test_cokernel_of_multiplication_map():
-    # Z^2 / <(3,0),(0,12)> = Z_3 x Z_12; torsion sorted non-increasing
-    res = smith_normal_form(sparse([[3, 0], [0, 12]]), ncols=2)
-    assert sorted((d for d in res.diagonal if d > 1), reverse=True) == [12, 3]
+    # Z^2 / <(3,0),(0,12)> = Z_3 x Z_12: its 3-part is Z_3 x Z_3, and its
+    # 2-part Z_4, for which 3 is a unit
+    assert snf([[3, 0], [0, 12]], 3, 2).diagonal == [3, 3]
+    res = snf([[3, 0], [0, 12]], 2, 3)
+    assert res.diagonal == [1, 4]
     assert res.cokernel_free_rank() == 0
 
 
 def test_cokernel_free_rank():
-    res = smith_normal_form(sparse([[1, 2, 3]]), ncols=3)
+    res = snf([[1, 2, 3]], 5, 1)
     assert res.cokernel_free_rank() == 2
 
 
 def test_unimodular_inverse_roundtrip():
-    # m is unimodular, so U * m * V = I and m^-1 = V * U
+    # m is unimodular, so U * m * V = I and m^-1 = V * U (mod p^e)
     m = [[1, 2, 0], [0, 1, 5], [0, 0, 1]]
-    res = smith_normal_form(sparse(m), ncols=3)
+    res = snf(m, 3, 4)
     assert res.diagonal == [1, 1, 1]
     u, v = dense_transforms(res)
-    assert (_reference_mat_mul(m, _reference_mat_mul(v, u))
+    assert ([[x % 81 for x in row]
+             for row in _reference_mat_mul(m, _reference_mat_mul(v, u))]
             == identity_matrix(3))
 
 
@@ -260,8 +293,9 @@ def test_bareiss_determinant():
     assert bareiss_determinant([[0, 2, 1], [3, 0, 0], [1, 1, 1]]) == -3
 
 
-# With the floor quotient these took 8.2 s, with 1,196,358-bit entries in
-# U, and more than a minute; the nearest quotient needs at most 97 bits.
+# Integer diagonals.  With the floor quotient the integer SNF took 8.2 s on
+# these, with 1,196,358-bit entries in U, and more than a minute; with the
+# nearest quotient it needed 97 bits.  Mod p^e no entry passes p^e / 2.
 SMALL_DENSE_BLOW_UPS = [
     ([[1, -27, -27, 0, 1, 2], [9, 2, -1, 0, -1, -27],
       [-1, -27, -27, -27, -27, 1], [-27, 2, 0, 0, 9, 9],
@@ -275,20 +309,27 @@ SMALL_DENSE_BLOW_UPS = [
 
 @pytest.mark.parametrize("m, diagonal", SMALL_DENSE_BLOW_UPS)
 def test_small_dense_matrix_keeps_small_transforms(m, diagonal):
-    res = smith_normal_form(sparse(m), ncols=len(m[0]))
-    assert res.diagonal == diagonal
-    assert transform_bits(res) <= 128
+    for p in (2, 3, 5):
+        res = snf(m, p, 8)
+        assert res.diagonal == local_diagonal(diagonal, p, 8)
+        assert_congruent(m, res, p, 8)
+        assert transform_bits(res) <= (p ** 8 // 2).bit_length()
 
 
 # -- properties -------------------------------------------------------
+#
+# Every draw takes p from {2, 3, 5} and e from 1 to 6, and no entry drawn
+# is bounded, except in the FOUND-13 shapes below and in the reference
+# cases, which the integer SNF must also finish.
 
+primes = st.sampled_from([2, 3, 5])
+exponents = st.integers(1, 6)
 
 matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
-            st.lists(st.integers(-30, 30), min_size=c, max_size=c),
+            st.lists(st.integers(), min_size=c, max_size=c),
             min_size=r, max_size=r)))
-
 
 
 def shaped(dim, bound):
@@ -303,49 +344,70 @@ def shaped(dim, bound):
 
 
 @st.composite
-def sparse_tall(draw, max_rows, max_cols, bound):
-    """(matrix, ncols): at least as many rows as columns, at least 95% of
-    the entries zero, the rest in [-bound, bound]."""
+def sparse_tall(draw, max_rows, max_cols, density, values):
+    """(matrix, ncols): at least as many rows as columns, at most one
+    entry in `density` nonzero, drawn from `values`."""
     c = draw(st.integers(1, max_cols))
     r = draw(st.integers(c, max_rows))
-    k = draw(st.integers(0, r * c // 20))
+    k = draw(st.integers(0, r * c // density))
     cells = draw(st.lists(st.integers(0, r * c - 1), min_size=k, max_size=k,
                           unique=True))
-    values = st.integers(-bound, bound).filter(bool)
     m = [[0] * c for _ in range(r)]
     for cell in cells:
-        m[cell // c][cell % c] = draw(values)
+        m[cell // c][cell % c] = draw(values.filter(bool))
     return m, c
 
 
-# Dense 6 x 6 matrices with entries up to 30 can still make the entries of
-# A, U and V grow to hundreds of thousands of bits, nearest quotients or
-# not (8 of 60 random draws took over 3 s, against 50 of 60 with floor
-# quotients; ROADMAP, "Fix first"), so larger shapes draw smaller entries.
-# Tails matrices are tall and almost all zeros; at one nonzero in ten, 30 x
-# 20 matrices with entries up to 9 grow the same way, so those draw at most
-# one nonzero in twenty.
+# The shapes on which the integer SNF blew up its entries: dense 6 x 6
+# with entries up to 30, and 30 x 20 with one nonzero in ten.
+blow_up_shapes = st.one_of(
+    st.lists(st.lists(st.integers(-30, 30), min_size=6, max_size=6),
+             min_size=6, max_size=6).map(lambda m: (m, 6)),
+    sparse_tall(30, 20, 10, st.integers()))
+
+# The integer reference still blows up on those shapes (dense 6 x 6 with
+# entries up to 30: 8 of 60 draws over 3 s), so its cases are narrow:
+# larger shapes draw smaller entries, and tall ones one nonzero in twenty.
 reference_cases = st.one_of(shaped(6, 2), shaped(4, 30),
-                            sparse_tall(30, 20, 9))
+                            sparse_tall(30, 20, 20, st.integers(-9, 9)))
+
+
+def assert_local_form(m, ncols, p, e):
+    """The SNF of m mod p^e: U * m * V = D (mod p^e), U and V invertible
+    mod p^e, and the diagonal powers of p below p^e in a chain."""
+    res = smith_normal_form(sparse(m), ncols=ncols, p=p, e=e)
+    assert_congruent(m, res, p, e)
+    u, v = dense_transforms(res)
+    assert bareiss_determinant(u) % p and bareiss_determinant(v) % p
+    for d in res.diagonal:
+        assert d == p_part(d, p) < p ** e
+    assert res.diagonal == sorted(res.diagonal)
+    return res
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_divisibility_chain(m):
-    res = smith_normal_form(sparse(m), ncols=len(m[0]))
-    diag = [d for d in res.diagonal if d]
-    for a, b in zip(diag, diag[1:]):
+@given(matrices, primes, exponents)
+def test_divisibility_chain(m, p, e):
+    res = smith_normal_form(sparse(m), ncols=len(m[0]), p=p, e=e)
+    for a, b in zip(res.diagonal, res.diagonal[1:]):
         assert b % a == 0
-    assert all(d >= 0 for d in res.diagonal)
+    assert all(0 < d < p ** e and d == p_part(d, p) for d in res.diagonal)
 
 
 @settings(max_examples=40, deadline=None)
-@given(matrices)
-def test_transforms_are_unimodular(m):
-    res = smith_normal_form(sparse(m), ncols=len(m[0]))
-    u, v = dense_transforms(res)
-    assert abs(bareiss_determinant(u)) == 1
-    assert abs(bareiss_determinant(v)) == 1
+@given(matrices, primes, exponents)
+def test_transforms_are_unimodular(m, p, e):
+    # invertible mod p^e: their determinants are units mod p
+    assert_local_form(m, len(m[0]), p, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blow_up_shapes, primes, exponents)
+def test_local_form_of_the_integer_blow_up_shapes(case, p, e):
+    m, ncols = case
+    res = assert_local_form(m, ncols, p, e)
+    if len(m) == ncols == 6:
+        assert_minors_oracle(m, res, p, e)
 
 
 def minors_gcd(m, k):
@@ -358,25 +420,37 @@ def minors_gcd(m, k):
     return g
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_diagonal_products_are_the_gcds_of_the_minors(m):
-    # an oracle that shares no step with the elimination: d_1 ... d_k is
-    # the gcd of the k x k minors, which all vanish past the rank
-    res = smith_normal_form(sparse(m), ncols=len(m[0]))
+def assert_minors_oracle(m, res, p, e):
+    """d_1 ... d_k is the p-part of the gcd of the k x k minors for k up
+    to the rank; past it that p-part is a multiple of p^e times the
+    product, or every minor vanishes."""
     product = 1
     for k in range(1, min(len(m), len(m[0])) + 1):
-        product = product * res.diagonal[k - 1] if k <= res.rank else 0
-        assert minors_gcd(m, k) == product
+        g = minors_gcd(m, k)
+        if k <= res.rank:
+            product *= res.diagonal[k - 1]
+            assert g and p_part(g, p) == product
+        else:
+            assert g == 0 or p_part(g, p) % (product * p ** e) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, primes, exponents)
+def test_diagonal_products_are_the_gcds_of_the_minors(m, p, e):
+    # an oracle that shares no step with the elimination: d_1 ... d_k is
+    # the p-part of the gcd of the k x k minors
+    res = smith_normal_form(sparse(m), ncols=len(m[0]), p=p, e=e)
+    assert_minors_oracle(m, res, p, e)
 
 
 @settings(max_examples=250, deadline=None)
-@given(reference_cases)
-def test_same_result_as_the_dense_reference(case):
+@given(reference_cases, primes, exponents)
+def test_same_result_as_the_dense_reference(case, p, e):
     m, ncols = case
-    res = smith_normal_form(sparse(m), ncols=ncols)
-    assert ((res.diagonal, *dense_transforms(res))
-            == _reference_smith_normal_form(m, ncols))
+    res = smith_normal_form(sparse(m), ncols=ncols, p=p, e=e)
+    diagonal, _, _ = _reference_smith_normal_form(m, ncols)
+    assert res.diagonal == local_diagonal(diagonal, p, e)
+    assert_congruent(m, res, p, e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,15 +482,18 @@ def test_self_check_multiplies_u_a_v_through_the_module(monkeypatch):
 
     monkeypatch.setattr(pgh.snf, "mat_mul", counted)
     m = sparse([[6, 4, 2], [2, 8, 4], [0, 0, 10], [1, 0, 3]])
-    res = smith_normal_form(m, ncols=3)
+    res = smith_normal_form(m, ncols=3, p=2, e=3)
+    assert res.diagonal == [1, 2, 4]    # 1, 2, 20 over Z
     # one product, A * V: A is the caller's rows, not a copy, and V is
     # passed as its rows; the logged row operations, replayed on the
-    # product's own rows, turn it into D
+    # product's own rows mod 8, turn it into D, and so does U
     assert len(calls) == 1
     ((a, b, av),) = calls
     assert a is m and all(x is y for x, y in zip(a, m))
     assert densify(b, 3) == densify(res.V, 3, columns=True)
-    assert av == [{0: 1}, {1: 2}, {2: 20}, {}]
+    uav = _reference_mat_mul(densify(res.U, 4), densify(av, 3))
+    assert [[x % 8 for x in row] for row in uav] == [
+        [1, 0, 0], [0, 2, 0], [0, 0, 4], [0, 0, 0]]
 
     # every entry of U * A * V is compared with D, off the diagonal too
     def corrupted(a, b):
@@ -426,24 +503,24 @@ def test_self_check_multiplies_u_a_v_through_the_module(monkeypatch):
 
     monkeypatch.setattr(pgh.snf, "mat_mul", corrupted)
     with pytest.raises(AssertionError, match="self-check failed"):
-        smith_normal_form(m, ncols=3)
+        smith_normal_form(m, ncols=3, p=2, e=3)
 
     # so is a log that differs from the operations A received: here one
     # multiplier of an added row is off by one when the check replays it
     replay = pgh.snf._replay
     replays = []
 
-    def miscounted(log, rows):
+    def miscounted(log, rows, q):
         k = next(k for k, (i, j, mult) in enumerate(log) if mult and i != j)
         i, j, mult = log[k]
         log[k] = (i, j, mult + 1)
         replays.append(k)
-        return replay(log, rows)
+        return replay(log, rows, q)
 
     monkeypatch.setattr(pgh.snf, "mat_mul", mat_mul)
     monkeypatch.setattr(pgh.snf, "_replay", miscounted)
     with pytest.raises(AssertionError, match="self-check failed"):
-        smith_normal_form(m, ncols=3)
+        smith_normal_form(m, ncols=3, p=2, e=3)
     assert len(replays) == 1
 
 
@@ -460,18 +537,18 @@ def test_sparse_rows_need_ncols():
 @pytest.mark.parametrize("row", [{2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}])
 def test_sparse_index_outside_the_columns_is_rejected(row):
     with pytest.raises(ValueError, match="outside"):
-        smith_normal_form([{0: 1}, row], ncols=2)
+        smith_normal_form([{0: 1}, row], ncols=2, p=3, e=2)
 
 
 @pytest.mark.parametrize("row", [{0: 1.5}, {1: "1"}, {0: 1, 1: None},
                                  {0: 0.0, 1: 1}])
 def test_non_integer_entry_is_rejected(row):
     with pytest.raises(ValueError, match="not an integer"):
-        smith_normal_form([row], ncols=2)
+        smith_normal_form([row], ncols=2, p=3, e=2)
 
 
 def test_list_rows_are_rejected():
     # rows are {column: value} dicts only; a dense row is not converted
     for row in ([1, 2], (1, 2), [], None):
         with pytest.raises(ValueError, match="is not a"):
-            smith_normal_form([{0: 1}, row], ncols=2)
+            smith_normal_form([{0: 1}, row], ncols=2, p=3, e=2)
