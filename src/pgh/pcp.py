@@ -776,27 +776,8 @@ def is_normal(P, N):
 # -- quotients -------------------------------------------------------
 
 
-class QuotientMap:
-    """Projection G -> G/N onto a quotient presentation."""
-
-    def __init__(self, source, target, nsub, keep):
-        self.source = source
-        self.target = target
-        self.nsub = nsub
-        self.keep = tuple(keep)
-
-    def __call__(self, x):
-        rep = self.nsub.sift(x)
-        assert all(rep[i] == 0 for i in self.nsub.leading_indices())
-        return tuple(rep[i] for i in self.keep)
-
-    def lift(self, y):
-        word = [(i, e) for i, e in zip(self.keep, y) if e]
-        return self.source.collect(word)
-
-
 def quotient(P, N):
-    """Quotient presentation and projection map for a normal subgroup N."""
+    """The quotient presentation P/N for a normal subgroup N."""
     if not is_normal(P, N):
         raise ValueError("subgroup is not normal")
     dead = set(N.leading_indices())
@@ -818,8 +799,7 @@ def quotient(P, N):
             if w:
                 comm[(bnew, anew)] = w
     labels = {reindex[i]: P.labels[i] for i in keep if i in P.labels}
-    Q = PcPresentation(P.p, len(keep), power, comm, labels)
-    return Q, QuotientMap(P, Q, N, keep)
+    return PcPresentation(P.p, len(keep), power, comm, labels)
 
 
 # -- abelian sections ------------------------------------------------

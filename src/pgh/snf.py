@@ -7,20 +7,26 @@ in Computational Algebraic Number Theory, 2.4).  Entries are symmetric
 residues in (-q/2, q/2], so they cannot grow and small ones stay small.
 Each step takes a pivot of least p-valuation v: the row of least
 (gcd(q, *row), min |entry|), both computed in C, so a +-1 pivot comes
-first, and in it the smallest entry of valuation v, leftmost on a tie.
-It scales the pivot row so the pivot is p^v, then clears its column in
-one pass of row operations and its row in one pass of column operations.
+first, and in it the smallest entry of valuation v, leftmost on a tie;
+a tie between rows goes to the first.  It scales the pivot row so the
+pivot is p^v, then clears its column in one pass of row operations and
+its row in one pass of column operations.
 What is left of the block is a multiple of p^v, so the diagonal comes
 out in valuation order and the divisibility chain holds by construction.
 
 A is kept as sparse rows and V as sparse columns, {index: value} dicts
 that never hold a zero, with an index from each column of A to its
-nonzero rows and a cache of each row's pivot key.  V^-1 is not kept,
-since its first rank rows are (U * A) / D.  Each row operation is
-logged, and U is built on first read by replaying the log on the
-identity rows.  The self-check replays the same log on the rows of
-A * V mod q and compares every row with D's, off the diagonal too, so it
-proves U * A * V = D (mod q) for exactly the U handed out.
+nonzero rows and a cache of each row's pivot key.  No row or column of
+A or V ever moves: two lists give the row and the column at each
+position, and a step swaps two entries of each.  "First" and "leftmost"
+above mean in position order, and V is handed out with its columns in
+position order.  V^-1 is not kept, since its first rank rows are
+(U * A) / D.  Each row operation, a unit scaling or a row addition on
+the fixed rows, is logged, and U is built on first read by replaying
+the log on the identity rows and reading them in position order.  The
+self-check replays the same log on the rows of A * V mod q and compares
+the row at each position with D's, off the diagonal too, so it proves
+U * A * V = D (mod q) for exactly the U handed out.
 
 A check mod q suffices.  U and V are invertible over Z_(p), the integers
 localised at p, and there U * A * V = D + q * R.  Each pivot p^v, v < e,
@@ -73,12 +79,10 @@ def _add_scaled(dst, src, mult, q):
 
 def _replay(log, rows, q):
     """Apply the logged row operations to sparse rows mod q, in order and
-    in place: (i, j, 0) swaps, (i, i, u) scales row i by the unit u, and
-    (i, j, m) adds m * row i to row j."""
+    in place: (i, i, u) scales row i by the unit u, and (i, j, m) adds
+    m * row i to row j."""
     for i, j, m in log:
-        if not m:
-            rows[i], rows[j] = rows[j], rows[i]
-        elif i == j:
+        if i == j:
             rows[i] = _scaled(rows[i], m, q)
         else:
             _add_scaled(rows[j], rows[i], m, q)
@@ -108,21 +112,25 @@ class SmithResult:
     p^e and the diagonal entries of D are powers p^v, v < e, in
     increasing order, so d1 | d2 | ... .  U is a list of sparse rows and
     V a list of sparse columns, {index: residue} dicts without zeros:
-    V[j] is column j of V, and U is built on first read.
+    V[j] is column j of V.  U is built on first read: the log is
+    replayed on the identity rows, which are then read in `row_order`,
+    the row of A at each position when the elimination ended.
     """
 
-    def __init__(self, rows, cols, diagonal, log, V, modulus):
+    def __init__(self, rows, cols, diagonal, log, row_order, V, modulus):
         self.rows = rows
         self.cols = cols
         self.diagonal = diagonal
         self._log = log
+        self._row_order = row_order
         self.V = V
         self.modulus = modulus
 
     @cached_property
     def U(self):
-        return _replay(self._log, [{i: 1} for i in range(self.rows)],
-                       self.modulus)
+        u = _replay(self._log, [{i: 1} for i in range(self.rows)],
+                    self.modulus)
+        return [u[i] for i in self._row_order]
 
     @property
     def rank(self):
@@ -154,36 +162,10 @@ def smith_normal_form(rows, ncols, p, e):
     row_key = [None] * nrows
     log = []                                # the row operations, for U
     v = [{j: 1} for j in range(ncols)]      # the columns of V
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        ai, aj = a[i], a[j]
-        for k in ai.keys() - aj.keys():
-            rows = col_rows[k]
-            rows.remove(i)
-            rows.add(j)
-        for k in aj.keys() - ai.keys():
-            rows = col_rows[k]
-            rows.remove(j)
-            rows.add(i)
-        a[i], a[j] = aj, ai
-        log.append((i, j, 0))
-        row_key[i], row_key[j] = row_key[j], row_key[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in col_rows[i] | col_rows[j]:
-            row = a[r]
-            x = row.pop(i, 0)
-            y = row.pop(j, 0)
-            if y:
-                row[i] = y
-            if x:
-                row[j] = x
-        col_rows[i], col_rows[j] = col_rows[j], col_rows[i]
-        v[i], v[j] = v[j], v[i]
+    # rows and columns never move: a step swaps two positions instead
+    row_at = list(range(nrows))             # the row at each position
+    col_at = list(range(ncols))             # the column at each position
+    col_pos = list(range(ncols))            # the position of each column
 
     def add_row(src, dst, mult):
         drow = a[dst]
@@ -202,10 +184,12 @@ def smith_normal_form(rows, ncols, p, e):
 
     diagonal = []
     for t in range(min(nrows, ncols)):
-        # the row of least key in the trailing block, first in row order;
-        # nothing beats a +-1.  Rows from t on are zero left of column t.
+        # the row of least key in the trailing block, first in position
+        # order; nothing beats a +-1.  Rows from position t on are zero in
+        # the columns at positions before t.
         pivot, best = None, _EMPTY
-        for i in range(t, nrows):
+        for s in range(t, nrows):
+            i = row_at[s]
             key = row_key[i]
             if key is None:
                 # (gcd, min |entry|) as one int, since min |entry| < q
@@ -217,43 +201,49 @@ def smith_normal_form(rows, ncols, p, e):
                     key = _EMPTY
                 row_key[i] = key
             if key < best:
-                pivot, best = i, key
+                pivot, best = s, key
                 if key == 1:
                     break
         if pivot is None:
             break
         d = best // q + 1                   # p^v, v the pivot's valuation
-        swap_rows(t, pivot)
-        row = a[t]
-        _, pj = min((abs(x), j) for j, x in row.items() if x % (d * p))
-        swap_cols(t, pj)
-        unit = row[t] // d
+        r = row_at[pivot]
+        row_at[t], row_at[pivot] = r, row_at[t]
+        row = a[r]
+        _, pos = min((abs(x), col_pos[j]) for j, x in row.items()
+                     if x % (d * p))
+        c = col_at[pos]
+        col_at[t], col_at[pos] = c, col_at[t]
+        col_pos[col_at[pos]], col_pos[c] = pos, t
+        unit = row[c] // d
         if unit != 1:
             inverse = pow(unit, -1, q)
             if inverse > half:
                 inverse -= q
-            row = a[t] = _scaled(row, inverse, q)
-            log.append((t, t, inverse))
+            row = a[r] = _scaled(row, inverse, q)
+            log.append((r, r, inverse))
         # every entry of the block is a multiple of d: one pass of row
-        # operations clears column t, and then column t of A is d e_t, so
-        # the column operations that clear row t change only row t of A
-        for i in [r for r in col_rows[t] if r != t]:
-            add_row(t, i, -(a[i][t] // d))
-        for j in [k for k in row if k != t]:
-            _add_scaled(v[j], v[t], -(row.pop(j) // d), q)
-            col_rows[j].remove(t)
+        # operations clears column c, and then column c of A is d e_r, so
+        # the column operations that clear row r change only row r of A
+        for i in col_rows[c] - {r}:
+            add_row(r, i, -(a[i][c] // d))
+        for j in [k for k in row if k != c]:
+            _add_scaled(v[j], v[c], -(row.pop(j) // d), q)
+            col_rows[j].remove(r)
         diagonal.append(d)
 
     # free the reduced matrix before the check builds its products
     del a, col_rows
-    # U * (A * V) mod q: A * V with V's columns turned into rows, then the log
+    v = [v[j] for j in col_at]
+    # U * (A * V) mod q: A * V with V's columns turned into rows, then the
+    # log; the row of A at position i must be D's row i
     v_rows = [{} for _ in range(ncols)]
     for j, col in enumerate(v):
         for i, x in col.items():
             v_rows[i][j] = x
     uav = _replay(log, [_scaled(row, 1, q)
                         for row in mat_mul(rows, v_rows)], q)
-    for i, row in enumerate(uav):
-        if row != ({i: diagonal[i]} if i < len(diagonal) else {}):
+    for i, r in enumerate(row_at):
+        if uav[r] != ({i: diagonal[i]} if i < len(diagonal) else {}):
             raise AssertionError("smith normal form self-check failed")
-    return SmithResult(nrows, ncols, diagonal, log, v, q)
+    return SmithResult(nrows, ncols, diagonal, log, row_at, v, q)

@@ -122,17 +122,20 @@ def family_match(P):
     """Fingerprint match of P against the classified attainer families.
 
     A candidate with P's own presentation is P, so it matches without
-    being fingerprinted.
+    being fingerprinted, and P is fingerprinted only for a candidate
+    that needs it.
     """
-    st = structure_stats(P)
-    fp = _fingerprint(P)
-    for tag, build in _family_candidates(P, st):
+    fp = None
+    for tag, build in _family_candidates(P, structure_stats(P)):
         try:
             candidate = build()
         except catalog.FamilyParameterError:
             continue
-        if ((candidate.p, candidate.power, candidate.comm)
-                == (P.p, P.power, P.comm) or _fingerprint(candidate) == fp):
+        if (candidate.p, candidate.power, candidate.comm) == (
+                P.p, P.power, P.comm):
+            return tag
+        fp = fp or _fingerprint(P)
+        if _fingerprint(candidate) == fp:
             return tag
     return None
 
@@ -214,7 +217,7 @@ def check_attainer_conditions(P):
         add("center_quotient_exponent", True, gq.exponent == dtype.exponent,
             f"e(G/Z) = {gq.exponent}, e(G') = {dtype.exponent}")
         # d(G/Z) = rank of (G/Z)/(G/Z)' (Burnside basis theorem)
-        dq = abelianization_type(quotient(P, z)[0]).rank
+        dq = abelianization_type(quotient(P, z)).rank
         add("derived_rank_bound", True,
             dtype.rank <= dq * (dq - 1) // 2,
             f"d(G') = {dtype.rank}, d(G/Z) = {dq}")
@@ -274,7 +277,7 @@ def check_quotient_attainment(P):
         if coords[first] != 1:
             continue
         x = layer.from_coords(coords)
-        Q, _ = quotient(P, subgroup_closure(P, [x]))
+        Q = quotient(P, subgroup_closure(P, [x]))
         actual2 = 2 * log_p(schur_multiplier(Q).order, p)
         # |G/K| = p^(n-1) and |(G/K)'| = p^(k-1)
         expected2 = _doubled(n - 1, k - 1, d)[2]
@@ -284,7 +287,7 @@ def check_quotient_attainment(P):
     series = lower_central_series(P)
     cls = len(series) - 1
     for i in range(3, cls + 1):
-        Q, _ = quotient(P, series[i - 1])
+        Q = quotient(P, series[i - 1])
         gamma.append((i, report(Q).attains_rai))
     ok = all(c[3] for c in central) and all(g[1] for g in gamma)
     return QuotientAttainmentReport(tuple(central), tuple(gamma), ok)
