@@ -6,6 +6,7 @@ relative order p, so every presentation here has prime relative orders.
 """
 
 import json
+from collections import namedtuple
 
 from .pcp import PcPresentation, check_prime, direct_product, trivial_group
 
@@ -222,6 +223,10 @@ def g6():
 # -- small-group tables ----------------------------------------------
 
 
+# The primes the small-group tables cover.
+TABLE_PRIMES = (2, 3, 5)
+
+
 def central_product_e1_cyclic(p):
     """E1 * Z_{p^2}, the central product identifying [a,b] with z^p.
 
@@ -304,10 +309,12 @@ def _abelian_p4(p):
 
 def small_group_table(p, exponent):
     """The complete list of groups of order p^3 or p^4, one presentation
-    per isomorphism class.  Supports p in {2, 3, 5}; 5 groups at
+    per isomorphism class.  Supports p in TABLE_PRIMES; 5 groups at
     exponent 3, and 15 (odd p) or 14 (p = 2) at exponent 4."""
-    if p not in (2, 3, 5):
-        raise FamilyParameterError(f"small_group_table supports p in 2, 3, 5; got {p}")
+    if p not in TABLE_PRIMES:
+        primes = ", ".join(map(str, TABLE_PRIMES))
+        raise FamilyParameterError(
+            f"small_group_table supports p in {primes}; got {p}")
     if exponent == 3:
         table = [
             cyclic(p, 3),
@@ -348,99 +355,79 @@ def small_group_table(p, exponent):
     raise FamilyParameterError(f"exponent must be 3 or 4, got {exponent}")
 
 
-FAMILY_PARAMS = {
-    "HOMOCYCLIC": ("m", "rank"),
-    "MIN_NONAB_A": ("m", "n"),
-    "MIN_NONAB_B": ("m", "n"),
-    "Q8": (),
-    "D8": (),
-    "E1": (),
-    "MODULAR": ("n",),
-    "G1": ("n",),
-    "G2": ("m",),
-    "G3": (),
-    "G4": ("m",),
-    "G5": (),
-    "G6": (),
-    "SMALL": ("exponent", "index"),
-    "TRIVIAL": (),
+def _small_group(p, exponent, index):
+    table = small_group_table(p, exponent)
+    if not (1 <= index <= len(table)):
+        raise FamilyParameterError(
+            f"SMALL index must be in 1..{len(table)}, got {index}")
+    return table[index - 1]
+
+
+# One row per family: its parameter names; its generator count, for the
+# families whose size grows with a parameter; the one prime it requires,
+# if any; and its constructor, called as build(p, **params).  Each
+# constructor is called by name inside a lambda, so that a wrapper later
+# installed on the module function (a profiler, perfbench's tracer) is
+# the one that runs.
+Family = namedtuple("Family", "params ngens prime build")
+
+FAMILIES = {
+    "HOMOCYCLIC": Family(("m", "rank"), lambda m, rank: m * rank, None,
+                         lambda p, m, rank: homocyclic(p, m, rank)),
+    "MIN_NONAB_A": Family(("m", "n"), lambda m, n: m + n, None,
+                          lambda p, m, n: min_nonabelian_a(p, m, n)),
+    "MIN_NONAB_B": Family(("m", "n"), lambda m, n: m + n + 1, None,
+                          lambda p, m, n: min_nonabelian_b(p, m, n)),
+    "Q8": Family((), None, 2, lambda p: quaternion8()),
+    "D8": Family((), None, 2, lambda p: dihedral8()),
+    "E1": Family((), None, None, lambda p: extraspecial_e1(p)),
+    "MODULAR": Family(("n",), lambda n: n, None,
+                      lambda p, n: modular_group(p, n)),
+    "G1": Family(("n",), lambda n: n, None, lambda p, n: g1(p, n)),
+    "G2": Family(("m",), lambda m: 2 * m + 1, None, lambda p, m: g2(p, m)),
+    "G3": Family((), None, None, lambda p: g3(p)),
+    "G4": Family(("m",), lambda m: 3 * m, None, lambda p, m: g4(p, m)),
+    "G5": Family((), None, None, lambda p: g5(p)),
+    "G6": Family((), None, 3, lambda p: g6()),
+    "SMALL": Family(("exponent", "index"), None, None,
+                    lambda p, exponent, index: _small_group(p, exponent, index)),
+    "TRIVIAL": Family((), None, None, lambda p: trivial_group(p)),
 }
 
-# The generator count of the families whose size grows with a parameter.
-_GENERATOR_COUNT = {
-    "HOMOCYCLIC": lambda m, rank: m * rank,
-    "MIN_NONAB_A": lambda m, n: m + n,
-    "MIN_NONAB_B": lambda m, n: m + n + 1,
-    "MODULAR": lambda n: n,
-    "G1": lambda n: n,
-    "G2": lambda m: 2 * m + 1,
-    "G4": lambda m: 3 * m,
-}
+
+def family_tag(name, p, params):
+    """The tag of a family member, such as G4(p=3,m=2)."""
+    extra = "".join(f",{k}={v}" for k, v in sorted(params.items()))
+    return f"{name}(p={p}{extra})"
 
 
 def make(family, p, **params):
     """Construct a family member; raises FamilyParameterError on bad input."""
     family = family.upper()
-    if family not in FAMILY_PARAMS:
+    if family not in FAMILIES:
         raise FamilyParameterError(f"unknown family {family!r}")
-    wanted = FAMILY_PARAMS[family]
-    extra = set(params) - set(wanted)
-    missing = set(wanted) - set(params)
-    if extra or missing:
+    row = FAMILIES[family]
+    if set(params) != set(row.params):
         raise FamilyParameterError(
-            f"family {family} takes parameters {wanted}, got {sorted(params)}")
+            f"family {family} takes parameters {row.params}, got {sorted(params)}")
     try:
         check_prime(p)
     except ValueError as exc:
         raise FamilyParameterError(str(exc)) from exc
-    if family in _GENERATOR_COUNT:
-        ngens = _GENERATOR_COUNT[family](**params)
+    for name in row.params:
+        if params[name] < 0:
+            raise FamilyParameterError(
+                f"family {family} parameter {name} must be non-negative, "
+                f"got {params[name]}")
+    if row.ngens:
+        ngens = row.ngens(**params)
         if ngens > MAX_GENERATORS:
             raise FamilyParameterError(
                 f"family {family} with these parameters has {ngens} "
                 f"generators, more than the limit of {MAX_GENERATORS}")
-    if family == "HOMOCYCLIC":
-        return homocyclic(p, params["m"], params["rank"])
-    if family == "MIN_NONAB_A":
-        return min_nonabelian_a(p, params["m"], params["n"])
-    if family == "MIN_NONAB_B":
-        return min_nonabelian_b(p, params["m"], params["n"])
-    if family == "Q8":
-        if p != 2:
-            raise FamilyParameterError("Q8 requires p = 2")
-        return quaternion8()
-    if family == "D8":
-        if p != 2:
-            raise FamilyParameterError("D8 requires p = 2")
-        return dihedral8()
-    if family == "E1":
-        return extraspecial_e1(p)
-    if family == "MODULAR":
-        return modular_group(p, params["n"])
-    if family == "G1":
-        return g1(p, params["n"])
-    if family == "G2":
-        return g2(p, params["m"])
-    if family == "G3":
-        return g3(p)
-    if family == "G4":
-        return g4(p, params["m"])
-    if family == "G5":
-        return g5(p)
-    if family == "G6":
-        if p != 3:
-            raise FamilyParameterError("G6 requires p = 3")
-        return g6()
-    if family == "SMALL":
-        table = small_group_table(p, params["exponent"])
-        index = params["index"]
-        if not (1 <= index <= len(table)):
-            raise FamilyParameterError(
-                f"SMALL index must be in 1..{len(table)}, got {index}")
-        return table[index - 1]
-    if family == "TRIVIAL":
-        return trivial_group(p)
-    raise AssertionError("unreachable")
+    if row.prime not in (None, p):
+        raise FamilyParameterError(f"{family} requires p = {row.prime}")
+    return row.build(p, **params)
 
 
 # -- serialization ---------------------------------------------------
@@ -503,7 +490,8 @@ def parse(text):
     if "family" in doc:
         if not isinstance(doc["family"], str):
             raise PresentationFormatError("field 'family' must be a string")
-        known = {"family", "p"} | set(FAMILY_PARAMS.get(doc["family"].upper(), ()))
+        row = FAMILIES.get(doc["family"].upper())
+        known = {"family", "p", *(row.params if row else ())}
         extra = set(doc) - known
         if extra:
             raise PresentationFormatError(f"unknown keys {sorted(extra)} in family shorthand")

@@ -28,7 +28,8 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 EXIT_BROKEN_PIPE = 141
 
-_PARAM_FLAGS = ("m", "n", "rank", "exponent", "index")
+_PARAM_FLAGS = tuple(dict.fromkeys(
+    name for row in catalog.FAMILIES.values() for name in row.params))
 
 
 class CliInputError(ValueError):
@@ -37,7 +38,10 @@ class CliInputError(ValueError):
 
 def _add_spec_args(sub):
     sub.add_argument("--file", help="presentation file (JSON schema)")
-    sub.add_argument("--family", help="family tag, e.g. G2 or SMALL")
+    families = ", ".join(" --".join((name, *row.params))
+                         for name, row in catalog.FAMILIES.items())
+    sub.add_argument("--family",
+                     help=f"family, with its parameter flags: {families}")
     sub.add_argument("--p", type=int, help="prime (with --family)")
     for flag in _PARAM_FLAGS:
         sub.add_argument(f"--{flag}", type=int, help=argparse.SUPPRESS)
@@ -60,8 +64,7 @@ def _load_spec(args):
     params = {k: getattr(args, k) for k in _PARAM_FLAGS
               if getattr(args, k) is not None}
     P = catalog.make(args.family, args.p, **params)
-    extra = "".join(f",{k}={v}" for k, v in sorted(params.items()))
-    return P, f"{args.family.upper()}(p={args.p}{extra})"
+    return P, catalog.family_tag(args.family.upper(), args.p, params)
 
 
 def _flatten(record, prefix=""):
@@ -191,7 +194,7 @@ def _catalog_groups(p, deep):
 
 
 def _suite_sweep(p, deep):
-    sw = verify.sweep_classification(p, max_exponent=4, deep=deep)
+    sw = verify.sweep_classification(p, deep=deep)
     rows = [
         ("sweep_attainers_equal_classified_families", sw.classification_ok,
          "attainers=" + "|".join(sw.attainers)),
@@ -294,8 +297,9 @@ _SUITES = {
 
 
 def cmd_verify(args, out):
-    if args.p not in (2, 3, 5):
-        raise CliInputError(f"verify supports p in 2, 3, 5; got {args.p}")
+    if args.p not in catalog.TABLE_PRIMES:
+        primes = ", ".join(map(str, catalog.TABLE_PRIMES))
+        raise CliInputError(f"verify supports p in {primes}; got {args.p}")
     rows = []
     # the suites rebuild the same groups (the catalog instances, G1-G6 in
     # the sweep, the family candidates): each is built and computed once

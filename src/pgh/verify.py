@@ -98,24 +98,21 @@ def _fingerprint(P):
 
 
 def _family_candidates(P, st):
-    """Family instances whose coarse parameters fit P, for fingerprinting."""
+    """(name, params) of the family members whose coarse parameters fit
+    P, for fingerprinting."""
     p, n = P.p, P.ngens
-    out = []
     if p != 2 and st.nilpotency_class == 2 and st.k == 1 and n >= 3:
-        out.append((f"G1(p={p},n={n})", lambda: catalog.g1(p, n)))
+        yield "G1", {"n": n}
     if st.k == 1 and st.d == 2 and n % 2 == 1 and n >= 5:
-        m = (n - 1) // 2
-        if m >= 2:
-            out.append((f"G2(p={p},m={m})", lambda: catalog.g2(p, m)))
+        yield "G2", {"m": (n - 1) // 2}
     if p != 2 and n == 5 and st.k == 2 and st.d == 3:
-        out.append((f"G3(p={p})", lambda: catalog.g3(p)))
+        yield "G3", {}
     if p != 2 and st.d == 2 and st.k >= 2 and n % 3 == 0 and n // 3 >= 2:
-        out.append((f"G4(p={p},m={n // 3})", lambda: catalog.g4(p, n // 3)))
+        yield "G4", {"m": n // 3}
     if p != 2 and n == 6 and st.k == 3 and st.d == 3:
-        out.append((f"G5(p={p})", lambda: catalog.g5(p)))
+        yield "G5", {}
     if p == 3 and n == 7 and st.nilpotency_class == 3:
-        out.append(("G6(p=3)", catalog.g6))
-    return out
+        yield "G6", {}
 
 
 def family_match(P):
@@ -123,20 +120,22 @@ def family_match(P):
 
     A candidate with P's own presentation is P, so it matches without
     being fingerprinted, and P is fingerprinted only for a candidate
-    that needs it.
+    that needs it.  Candidates are built by their family's constructor,
+    not by `catalog.make`, whose generator limit guards outside input
+    only.
     """
     fp = None
-    for tag, build in _family_candidates(P, structure_stats(P)):
+    for name, params in _family_candidates(P, structure_stats(P)):
         try:
-            candidate = build()
+            candidate = catalog.FAMILIES[name].build(P.p, **params)
         except catalog.FamilyParameterError:
             continue
         if (candidate.p, candidate.power, candidate.comm) == (
                 P.p, P.power, P.comm):
-            return tag
+            return catalog.family_tag(name, P.p, params)
         fp = fp or _fingerprint(P)
         if _fingerprint(candidate) == fp:
-            return tag
+            return catalog.family_tag(name, P.p, params)
     return None
 
 
@@ -322,10 +321,11 @@ class SweepReport:
         }
 
 
-def sweep_universe(p, max_exponent=4, deep=False):
-    """Named list of groups for the classification sweep."""
+def sweep_universe(p, *, deep=False):
+    """Named list of groups for the classification sweep: the groups of
+    order p^3 and p^4, then members of the named families."""
     groups = []
-    for e in range(3, max_exponent + 1):
+    for e in (3, 4):
         for i, P in enumerate(catalog.small_group_table(p, e)):
             groups.append((f"order_p{e}_{i + 1}", P))
     if p != 2:
@@ -344,7 +344,7 @@ def sweep_universe(p, max_exponent=4, deep=False):
     return groups
 
 
-def sweep_classification(p, max_exponent=4, deep=False):
+def sweep_classification(p, *, deep=False):
     """Verify that bound attainers are exactly the classified families.
 
     Also checks the class-2 classification for the refined (d = n-k)
@@ -352,7 +352,7 @@ def sweep_classification(p, max_exponent=4, deep=False):
     its three stated families (which coincide with G1, G3, G5 here).
     """
     entries = [SweepEntry(name, report(P))
-               for name, P in sweep_universe(p, max_exponent, deep)]
+               for name, P in sweep_universe(p, deep=deep)]
     attainers = tuple(e.name for e in entries if e.report.attains_rai)
     matches = tuple(e.name for e in entries if e.report.family_match)
     class2 = tuple(e.name for e in entries

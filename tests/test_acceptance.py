@@ -108,13 +108,13 @@ def test_criterion_05_negatives():
 
 
 def test_criterion_06_only_if_sweep():
-    sw3 = verify.sweep_classification(3, max_exponent=4)
+    sw3 = verify.sweep_classification(3)
     table3 = {n for n in sw3.attainers if n.startswith("order_")}
     # entry 4 of the order-27 table is E1; entry 9 of the order-81 table
     # is E1 x Z3
     assert table3 == {"order_p3_4", "order_p4_9"}
     assert sw3.classification_ok
-    sw2 = verify.sweep_classification(2, max_exponent=4)
+    sw2 = verify.sweep_classification(2)
     assert sw2.attainers == ()
     assert sw2.classification_ok
 

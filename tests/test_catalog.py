@@ -1,10 +1,14 @@
 """Family constructors, small-group tables, and serialization."""
 
+import contextlib
+import io
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
-from pgh import catalog
+from pgh import catalog, cli, verify
 from pgh.catalog import FamilyParameterError, PresentationFormatError
 from pgh.pcp import (abelian_invariants, center, derived_subgroup,
                      full_subgroup, nilpotency_class, structure_stats)
@@ -123,6 +127,88 @@ def test_make_dispatch():
     assert catalog.make("SMALL", 3, exponent=4, index=1).order == 81
     with pytest.raises(FamilyParameterError):
         catalog.make("SMALL", 3, exponent=4, index=16)
+
+
+@pytest.mark.parametrize("family,params,message", [
+    ("HOMOCYCLIC", {"m": -8, "rank": -9},
+     "family HOMOCYCLIC parameter m must be non-negative, got -8"),
+    ("MIN_NONAB_A", {"m": -1, "n": 70},
+     "family MIN_NONAB_A parameter m must be non-negative, got -1"),
+])
+def test_negative_parameter_refused_before_generator_count(family, params,
+                                                            message):
+    # the generator count of negative parameters is no size at all
+    with pytest.raises(FamilyParameterError) as exc:
+        catalog.make(family, 3, **params)
+    assert str(exc.value) == message
+    with pytest.raises(FamilyParameterError) as exc:
+        catalog.parse(json.dumps({"family": family, "p": 3, **params}))
+    assert str(exc.value) == message
+
+
+# (p, parameters) of a small member of each family
+FAMILY_SAMPLES = {
+    "HOMOCYCLIC": (3, {"m": 2, "rank": 3}),
+    "MIN_NONAB_A": (3, {"m": 3, "n": 2}),
+    "MIN_NONAB_B": (5, {"m": 2, "n": 1}),
+    "Q8": (2, {}),
+    "D8": (2, {}),
+    "E1": (5, {}),
+    "MODULAR": (3, {"n": 4}),
+    "G1": (3, {"n": 5}),
+    "G2": (3, {"m": 3}),
+    "G3": (5, {}),
+    "G4": (3, {"m": 2}),
+    "G5": (3, {}),
+    "G6": (3, {}),
+    "SMALL": (5, {"exponent": 4, "index": 12}),
+    "TRIVIAL": (2, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(catalog.FAMILIES))
+def test_family_row_matches_constructor(name):
+    row = catalog.FAMILIES[name]
+    p, params = FAMILY_SAMPLES[name]
+    assert tuple(params) == row.params
+    assert row.prime in (None, p)
+    P = catalog.make(name, p, **params)
+    if row.ngens:
+        assert P.ngens == row.ngens(**params)
+    if name in ("G1", "G2", "G3", "G4", "G5", "G6"):
+        argv = ["group", "--family", name, "--p", str(p), "--format", "json"]
+        for k, v in params.items():
+            argv += [f"--{k}", str(v)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        group = json.loads(out.getvalue())["group"]
+        assert group == verify.report(P).family_match
+
+
+def readme_families():
+    """The rows of README's Families table, as lists of cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Families\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines[2:]]
+
+
+def test_readme_family_table_matches_catalog():
+    rows = readme_families()
+    assert [r[0] for r in rows] == list(catalog.FAMILIES)
+    for name, params, prime, ngens in rows:
+        row = catalog.FAMILIES[name]
+        assert params == (", ".join(row.params) or "-")
+        assert prime == (str(row.prime) if row.prime else "-")
+        # the documented count, a formula in the parameters, holds at the
+        # sample member and agrees with the row's own count
+        p, sample = FAMILY_SAMPLES[name]
+        count = eval(ngens, {}, dict(sample))
+        assert count == catalog.make(name, p, **sample).ngens
+        if row.ngens:
+            assert count == row.ngens(**sample)
 
 
 # -- small-group tables ----------------------------------------------

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from pgh import catalog, cli
 from pgh.pcp import PcPresentation
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -187,6 +189,24 @@ def test_verify_json_deterministic():
 def test_verify_bad_prime():
     code, _ = run_cli("verify", "--suite", "sweep", "--p", "7")
     assert code == 2
+
+
+def readme_cli_commands():
+    """The `pgh ...` lines of README's CLI block, as argument lists."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("pgh ")]
+
+
+def test_readme_cli_commands_exit_0():
+    commands = [argv for argv in readme_cli_commands()
+                if "--file" not in argv]     # its file is the reader's own
+    assert len(commands) >= 5
+    for argv in commands:
+        code, out = run_cli(*argv)
+        assert code == 0, argv
+        assert out
 
 
 def test_entry_point_installed(tmp_path):
@@ -369,15 +389,22 @@ presentation_docs = st.fixed_dictionaries(
         "labels": mostly(st.dictionaries(key, json_values, max_size=3),
                          json_values),
     })
+
+
+def family_params(name):
+    row = catalog.FAMILIES.get(name.upper())
+    return row.params if row else ()
+
+
 family_names = mostly(
-    st.sampled_from(sorted(catalog.FAMILY_PARAMS)),
-    st.one_of(st.sampled_from(sorted(catalog.FAMILY_PARAMS)).map(str.lower),
+    st.sampled_from(sorted(catalog.FAMILIES)),
+    st.one_of(st.sampled_from(sorted(catalog.FAMILIES)).map(str.lower),
               st.text(max_size=6)))
 family_docs = family_names.flatmap(lambda name: mostly(
     # the family's own parameters
     st.fixed_dictionaries(
         {"family": st.just(name), "p": primes,
-         **{k: small for k in catalog.FAMILY_PARAMS.get(name.upper(), ())}}),
+         **{k: small for k in family_params(name)}}),
     # any subset of the known parameters, and a stray key
     st.fixed_dictionaries(
         {"family": st.just(name), "p": primes},

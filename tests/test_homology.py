@@ -230,7 +230,7 @@ def test_psi_images():
     # [DERIVED] the maximal-class groups of order p^4 (odd p): a nontrivial
     # quadrilinear image, of order p
     for p in (3, 5):
-        groups = dict(sweep_universe(p, 4))
+        groups = dict(sweep_universe(p))
         for i in range(12, 16):
             P = groups[f"order_p4_{i}"]
             assert nilpotency_class(P) == 3
@@ -424,7 +424,7 @@ def _thm25_reference(P):
 def test_coordinate_checks_agree_with_the_tensor_group_route(p, groups,
                                                              class2):
     counts = [0, 0]
-    for name, P in sweep_universe(p, 4, deep=True):
+    for name, P in sweep_universe(p, deep=True):
         cls = nilpotency_class(P)
         assert cls <= 3
         if cls == 2:
@@ -441,7 +441,7 @@ def test_be_sequence_rejects_an_image_outside_m(monkeypatch):
     # hand be_sequence the cover of a maximal-class group of the same
     # order: there a lift of G' does not commute with every lift, so some
     # g-value has a nonzero exponent below M
-    groups = dict(sweep_universe(3, 4))
+    groups = dict(sweep_universe(3))
     P, Q = groups["order_p4_8"], groups["order_p4_12"]
     assert (nilpotency_class(P), nilpotency_class(Q)) == (2, 3)
     cover = stem_cover(Q)
@@ -462,7 +462,7 @@ TAILS_AND_COVERS_SHA256 = (
 
 def _digest_groups():
     for p in (2, 3, 5):
-        for _, P in sweep_universe(p, 4, deep=True):
+        for _, P in sweep_universe(p, deep=True):
             yield P
     yield catalog.g4(3, 3)
     yield catalog.g1(3, 7)

@@ -249,7 +249,7 @@ def test_quotient_attainment_precondition():
 
 
 def test_sweep_p3():
-    sw = verify.sweep_classification(3, max_exponent=4)
+    sw = verify.sweep_classification(3)
     assert sw.classification_ok
     assert sw.class2_classification_ok
     table_attainers = {n for n in sw.attainers if n.startswith("order_")}
@@ -258,26 +258,26 @@ def test_sweep_p3():
 
 
 def test_sweep_p2_no_attainers():
-    sw = verify.sweep_classification(2, max_exponent=4)
+    sw = verify.sweep_classification(2)
     assert sw.classification_ok
     assert sw.attainers == ()
 
 
 def test_sweep_p5():
-    sw = verify.sweep_classification(5, max_exponent=4)
+    sw = verify.sweep_classification(5)
     assert sw.classification_ok
     assert sw.class2_classification_ok
 
 
 @pytest.mark.slow
 def test_sweep_p3_deep_includes_g6():
-    sw = verify.sweep_classification(3, max_exponent=4, deep=True)
+    sw = verify.sweep_classification(3, deep=True)
     assert sw.classification_ok
     assert "G6" in sw.attainers
 
 
 def test_sweep_json_deterministic():
-    a = verify.sweep_classification(3, max_exponent=3).to_json_dict()
-    b = verify.sweep_classification(3, max_exponent=3).to_json_dict()
+    a = verify.sweep_classification(3).to_json_dict()
+    b = verify.sweep_classification(3).to_json_dict()
     import json
     assert json.dumps(a) == json.dumps(b)
