@@ -20,7 +20,7 @@ from .snf import smith_normal_form
 from .verify import (CheckResult, GroupReport, QuotientAttainmentReport,
                      SweepReport, bounds, check_attainer_conditions,
                      check_quotient_attainment, family_match, report,
-                     report_record, sweep_classification)
+                     sweep_classification)
 
 __version__ = "1.0.0"
 
@@ -36,8 +36,7 @@ __all__ = [
     "epicenter_crosscheck", "exterior_pair", "exterior_square_order",
     "family_match", "frattini_subgroup", "is_capable", "load",
     "lower_central_series", "make", "nilpotency_class", "parse",
-    "psi2_image", "psi3_image", "quotient", "report", "report_record",
-    "schur_multiplier",
+    "psi2_image", "psi3_image", "quotient", "report", "schur_multiplier",
     "serialize", "small_group_table", "smith_normal_form", "stem_cover",
     "structure_stats", "subgroup_closure", "sweep_classification",
     "tails_system", "tensor_abelian", "thm25_check",

@@ -39,7 +39,8 @@ def homocyclic(p, exponent, rank):
     n = exponent * rank
     power = [()] * n
     labels = {}
-    for r in range(rank):
+    # exponent 0 gives no generator, whatever the rank
+    for r in range(rank if exponent else 0):
         chain = _chain(r * exponent, exponent)
         _chain_power_rules(power, chain)
         if chain:

@@ -308,14 +308,14 @@ def cmd_verify(args, out):
             rows.extend(fn(args.p, args.deep))
     failed = [r for r in rows if not r[1]]
     if args.format == "json":
-        out.write(json.dumps({
+        _emit_record({
             "suite": args.suite,
             "p": args.p,
             "checks": [{"name": n, "pass": ok, "detail": d}
                        for n, ok, d in rows],
             "passed": len(rows) - len(failed),
             "failed": len(failed),
-        }, indent=2) + "\n")
+        }, "json", out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["name", "pass", "detail"])
@@ -358,7 +358,6 @@ def build_parser():
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--p", type=int, help="accepted for symmetry; unused")
     _add_common(sub)
     sub.set_defaults(fn=cmd_bounds)
 

@@ -142,9 +142,6 @@ class StemCover:
     def lift(self, x):
         return tuple(x) + (0,) * (self.E.ngens - self.base.ngens)
 
-    def multiplier_type(self):
-        return AbelianType.from_divisors(self.divisors)
-
     def multiplier_coords(self, x):
         """Coordinates of x in M: sum_i x[chain[i]] p^i for each chain."""
         n = self.base.ngens

@@ -110,24 +110,29 @@ def shared_presentations():
 
 
 class _SharedWithinBlock(type):
-    """Construction that looks up `shared_presentations()`'s table first.
+    """The one construction path of a presentation.
 
+    The object is built unchecked; inside a `shared_presentations()`
+    block an equal one built earlier takes its place.  The consistency
+    check runs once per object, when first asked for, and a block's
+    table stores the object only after a check asked for has passed.
     Unpickling calls `cls.__new__(cls)` directly and never gets here, so
     an unpickled presentation is always a new object.
     """
 
     def __call__(cls, p, ngens, power=None, comm=None, labels=None,
                  check_consistent=True):
+        P = type.__call__(cls, p, ngens, power, comm, labels)
         table = _shared.get()
-        if table is None:
-            return type.__call__(cls, p, ngens, power, comm, labels,
-                                 check_consistent)
-        P = type.__call__(cls, p, ngens, power, comm, labels, False)
-        key = P._content_key()
-        P = table.get(key, P)
+        if table is not None:
+            key = P._content_key()
+            P = table.get(key, P)
         if check_consistent and not P._checked:
-            P._check_consistency()
-        table[key] = P
+            if not P.is_consistent():
+                raise ValueError("presentation fails the consistency check")
+            P._checked = True
+        if table is not None:
+            table[key] = P
         return P
 
 
@@ -141,8 +146,7 @@ class PcPresentation(metaclass=_SharedWithinBlock):
     all of them, and so would a stale stored invariant.
     """
 
-    def __init__(self, p, ngens, power=None, comm=None, labels=None,
-                 check_consistent=True):
+    def __init__(self, p, ngens, power=None, comm=None, labels=None):
         check_prime(p)
         if ngens < 0:
             raise ValueError(f"generator count {ngens} is negative")
@@ -169,13 +173,6 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         self._identity = (0,) * ngens
         self._memo = {}
         self._checked = False
-        if check_consistent:
-            self._check_consistency()
-
-    def _check_consistency(self):
-        if not self.is_consistent():
-            raise ValueError("presentation fails the consistency check")
-        self._checked = True
 
     def _content_key(self):
         """What equal presentations share: the content `__init__` stores."""
@@ -335,13 +332,6 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         """x^y = y^-1 x y."""
         return self.solve(y, self.mult(x, y))
 
-    def element_order(self, x):
-        k = 1
-        while x != self._identity:
-            x = self.pow(x, self.p)
-            k *= self.p
-        return k
-
     # -- consistency ---------------------------------------------------
 
     def consistency_checks(self):
@@ -392,27 +382,13 @@ class PcPresentation(metaclass=_SharedWithinBlock):
     def __repr__(self):
         return f"PcPresentation(p={self.p}, ngens={self.ngens})"
 
-    def describe(self):
-        lines = [f"p = {self.p}, generators: "
-                 + ", ".join(self.label(i) for i in range(self.ngens))
-                 + f", order = {self.p}^{self.ngens}"]
-        for i, w in enumerate(self.power):
-            rhs = self.word_str(w)
-            lines.append(f"{self.label(i)}^{self.p} = {rhs}")
-        for (j, i), w in sorted(self.comm.items()):
-            lines.append(f"[{self.label(j)}, {self.label(i)}] = {self.word_str(w)}")
-        return "\n".join(lines)
-
-    def word_str(self, word):
-        if not word:
-            return "1"
-        parts = []
-        for g, e in word:
-            parts.append(self.label(g) + (f"^{e}" if e != 1 else ""))
-        return "*".join(parts)
-
     def element_str(self, x):
-        return self.word_str(tuple((i, e) for i, e in enumerate(x) if e))
+        """x as a word in the labels, such as a*c^2, or 1."""
+        parts = []
+        for g, e in enumerate(x):
+            if e:
+                parts.append(self.label(g) + (f"^{e}" if e != 1 else ""))
+        return "*".join(parts) or "1"
 
 
 def _overlaps(p, gens, mult, collect):
@@ -559,10 +535,6 @@ class Subgroup:
     @property
     def order(self):
         return self.amb.p ** len(self.basis)
-
-    @property
-    def log_order(self):
-        return len(self.basis)
 
     def _sift(self, x):
         """(c_1, ..., c_m) and the residue x, where step k sets x = b_k^-c_k x."""

@@ -67,8 +67,8 @@ class GroupReport:
     capable: bool
     family_match: str
 
-    def to_json_dict(self, group_desc, checks=None):
-        doc = {
+    def to_json_dict(self, group_desc):
+        return {
             "group": group_desc,
             "n": self.n,
             "k": self.k,
@@ -83,10 +83,6 @@ class GroupReport:
             "capable": self.capable,
             "family": self.family_match,
         }
-        if checks is not None:
-            doc["checks"] = [{"name": c.name, "pass": c.passed}
-                             for c in checks]
-        return doc
 
 
 def _fingerprint(P):
@@ -99,19 +95,19 @@ def _fingerprint(P):
 
 def _family_candidates(P, st):
     """(name, params) of the family members whose coarse parameters fit
-    P, for fingerprinting."""
-    p, n = P.p, P.ngens
-    if p != 2 and st.nilpotency_class == 2 and st.k == 1 and n >= 3:
+    P, for fingerprinting; the prime is left to the catalog."""
+    n = P.ngens
+    if st.nilpotency_class == 2 and st.k == 1 and n >= 3:
         yield "G1", {"n": n}
     if st.k == 1 and st.d == 2 and n % 2 == 1 and n >= 5:
         yield "G2", {"m": (n - 1) // 2}
-    if p != 2 and n == 5 and st.k == 2 and st.d == 3:
+    if n == 5 and st.k == 2 and st.d == 3:
         yield "G3", {}
-    if p != 2 and st.d == 2 and st.k >= 2 and n % 3 == 0 and n // 3 >= 2:
+    if st.d == 2 and st.k >= 2 and n % 3 == 0 and n // 3 >= 2:
         yield "G4", {"m": n // 3}
-    if p != 2 and n == 6 and st.k == 3 and st.d == 3:
+    if n == 6 and st.k == 3 and st.d == 3:
         yield "G5", {}
-    if p == 3 and n == 7 and st.nilpotency_class == 3:
+    if n == 7 and st.nilpotency_class == 3:
         yield "G6", {}
 
 
@@ -122,12 +118,16 @@ def family_match(P):
     being fingerprinted, and P is fingerprinted only for a candidate
     that needs it.  Candidates are built by their family's constructor,
     not by `catalog.make`, whose generator limit guards outside input
-    only.
+    only.  A family whose row requires another prime, or whose
+    constructor refuses P's prime or parameters, has no candidate.
     """
     fp = None
     for name, params in _family_candidates(P, structure_stats(P)):
+        row = catalog.FAMILIES[name]
+        if row.prime not in (None, P.p):
+            continue
         try:
-            candidate = catalog.FAMILIES[name].build(P.p, **params)
+            candidate = row.build(P.p, **params)
         except catalog.FamilyParameterError:
             continue
         if (candidate.p, candidate.power, candidate.comm) == (
@@ -164,11 +164,6 @@ def report(P):
         capable=is_capable(stem_cover(P)),
         family_match=family_match(P),
     )
-
-
-def report_record(P, group_desc):
-    """The full JSON-shaped record: report fields plus the check list."""
-    return report(P).to_json_dict(group_desc, check_attainer_conditions(P))
 
 
 # -- named structural checks ------------------------------------------
@@ -305,20 +300,9 @@ class SweepEntry:
 class SweepReport:
     entries: tuple
     attainers: tuple           # names attaining the generator-sensitive bound
-    family_matches: tuple      # names fingerprint-matching a classified family
-    classification_ok: bool    # attainers == family_matches, as sets
+    classification_ok: bool    # attainers == family-matching names, as sets
     class2_refined_attainers: tuple   # class-2 names attaining the refined bound
     class2_classification_ok: bool
-
-    def to_json_dict(self):
-        return {
-            "entries": [e.report.to_json_dict(e.name) for e in self.entries],
-            "attainers": list(self.attainers),
-            "family_matches": list(self.family_matches),
-            "classification_ok": self.classification_ok,
-            "class2_refined_attainers": list(self.class2_refined_attainers),
-            "class2_classification_ok": self.class2_classification_ok,
-        }
 
 
 def sweep_universe(p, *, deep=False):
@@ -366,7 +350,6 @@ def sweep_classification(p, *, deep=False):
     return SweepReport(
         entries=tuple(entries),
         attainers=attainers,
-        family_matches=matches,
         classification_ok=set(attainers) == set(matches),
         class2_refined_attainers=class2,
         class2_classification_ok=class2_ok,

@@ -7,8 +7,9 @@ from pgh.capability import (epicenter, epicenter_crosscheck, exterior_pair,
                             is_capable)
 from pgh.cli import _catalog_groups
 from pgh.homology import stem_cover
-from pgh.pcp import AbelianSection, center, derived_subgroup, subgroup_closure
-from test_pcp import _center_reference
+from pgh.pcp import (AbelianSection, center, derived_subgroup, direct_product,
+                     subgroup_closure)
+from test_pcp import _center_reference, _scrambled
 
 
 @pytest.mark.parametrize("builder", [
@@ -38,10 +39,24 @@ def test_capable_groups(builder):
      [(0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0)],
      []),
     (lambda: catalog.homocyclic(3, 2, 2), [(1, 0, 0, 0), (0, 0, 1, 0)], []),
+    # C_27 x C_3: the epicenter's basis changes if its SNF runs mod
+    # max(p, exp M) instead of p * max(exp M, exp Z(G))
+    (lambda: direct_product(catalog.cyclic(3, 3), catalog.cyclic(3, 1)),
+     [(0, 0, 0, 1), (1, 0, 0, 0)], [(0, 1, 0, 0), (0, 0, 1, 0)]),
+    # C_243 x C_3 on scrambled generators: as above, and the center's
+    # representatives change if AbelianSection's SNF runs mod p^(L+1)
+    # instead of p^(2L+1), L = len(N.basis)
+    (lambda: _scrambled(direct_product(catalog.cyclic(3, 5),
+                                       catalog.cyclic(3, 1)), 2),
+     [(0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0)],
+     [(0, 1, 1, 1, 0, 1), (0, 0, 1, 1, 2, 1), (0, 0, 0, 1, 0, 1),
+      (0, 0, 0, 0, 1, 1)]),
 ])
 def test_u_readers_give_the_recorded_results(builder, reps, epi):
     # the two readers of an SNF's U, recorded while U was built during
-    # the reduction; it is now replayed from the log of row operations
+    # the reduction; it is now replayed from the log of row operations.
+    # A weaker modulus still gives valid generators, so only recorded
+    # values such as these tell the moduli apart
     P = builder()
     assert AbelianSection(P, center(P)).representatives() == reps
     assert list(epicenter(stem_cover(P)).basis) == epi

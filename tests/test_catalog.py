@@ -12,6 +12,7 @@ from pgh import catalog, cli, verify
 from pgh.catalog import FamilyParameterError, PresentationFormatError
 from pgh.pcp import (abelian_invariants, center, derived_subgroup,
                      full_subgroup, nilpotency_class, structure_stats)
+from test_pcp import _element_order
 
 
 # -- named families --------------------------------------------------
@@ -88,7 +89,7 @@ def test_g3_structure():
     P = catalog.g3(3)
     st = structure_stats(P)
     assert (st.n, st.k, st.d, st.nilpotency_class) == (5, 2, 3, 2)
-    assert all(P.element_order(g) == 3 for g in P.gens())
+    assert all(_element_order(P, g) == 3 for g in P.gens())
 
 
 def test_g4_structure():
@@ -124,6 +125,8 @@ def test_make_dispatch():
     assert catalog.make("G4", 3, m=2).order == 729
     assert catalog.make("HOMOCYCLIC", 2, m=3, rank=1).order == 8
     assert catalog.make("HOMOCYCLIC", 3, m=0, rank=2).order == 1
+    # no generators, so no work proportional to the rank
+    assert catalog.make("HOMOCYCLIC", 3, m=0, rank=10 ** 9).order == 1
     assert catalog.make("SMALL", 3, exponent=4, index=1).order == 81
     with pytest.raises(FamilyParameterError):
         catalog.make("SMALL", 3, exponent=4, index=16)
@@ -246,7 +249,7 @@ def test_table_unsupported():
 def _fingerprint(P):
     hist = {}
     for vec in itertools.product(range(P.p), repeat=P.ngens):
-        o = P.element_order(vec)
+        o = _element_order(P, vec)
         hist[o] = hist.get(o, 0) + 1
     st = structure_stats(P)
     return (tuple(sorted(hist.items())), st.k, st.d, st.nilpotency_class,

@@ -14,6 +14,7 @@ from pgh import catalog
 from pgh.homology import schur_multiplier
 from pgh.pcp import (PcPresentation, abelian_invariants, center,
                      structure_stats)
+from test_pcp import _element_order
 
 
 def _words(p, indices):
@@ -27,7 +28,7 @@ def _words(p, indices):
 def _fingerprint(P):
     hist = {}
     for vec in itertools.product(range(P.p), repeat=P.ngens):
-        o = P.element_order(vec)
+        o = _element_order(P, vec)
         hist[o] = hist.get(o, 0) + 1
     st = structure_stats(P)
     return (tuple(sorted(hist.items())), st.k, st.d, st.nilpotency_class,
