@@ -3,12 +3,13 @@ orders of spans of coordinate vectors, the class-two exact-sequence map g,
 and the trilinear/quadrilinear commutator maps on central quotients.
 
 The tails method: adjoin one central generator of infinite order to every
-power rule and every commutator rule, re-run all consistency overlaps in
+power rule and every commutator rule, re-run the consistency overlaps in
 the tailed presentation, and read off the multiplier as the torsion part
 of the cokernel of the resulting integer relation matrix.  The tailed
 presentation has no collector of its own: `PcPresentation._collect_into`
 counts the tails in an optional accumulator, and the overlaps are the
-ones the consistency check enumerates (`pcp._overlaps`).
+ones the consistency check enumerates (`pcp._overlaps`), less the
+associativity tests of two central letters, whose rows are zero.
 """
 
 import math
@@ -55,6 +56,17 @@ def tails_system(P):
     The SNF runs mod p^(n+1): its cokernel is Z^N x M(G), and by Schur
     exp M(G) divides |G| = p^n, so every torsion invariant is p^v with
     v <= n < n + 1, and the free rank checked below is N.
+
+    The assoc tests (k, j, i) with j >= c = `_central_start` are skipped,
+    since their rows are zero.  For k > j >= c, g_j and g_k lie in the
+    central block, so no rule [g_j, .] or [g_k, .] has a word.  Every
+    exponent in the test is 1 < p, so no power rule fires.  Collecting
+    (g_k g_j) g_i applies exactly one unit each of the empty rules (k, j),
+    (j, i) and (k, i); collecting g_k (g_j g_i) applies the same three.
+    Both sides carry equal tails, and the skip leaves the rows and their
+    order as they were.  The base-group assertion still sees every power
+    test and every overlap among g_1 ... g_c, which by `is_consistent`'s
+    lemma certify P.
     """
     n = P.ngens
     ntails = _tail_count(n)
@@ -78,7 +90,8 @@ def tails_system(P):
     blocks = {tag: {} for tag in ("assoc", "power_left", "power_right",
                                   "power_self")}
     gens = [collect(((i, 1),)) for i in range(n)]
-    for tag, lhs, rhs in _overlaps(P.p, gens, mult, collect):
+    for tag, lhs, rhs in _overlaps(P.p, gens, mult, collect,
+                                   P._central_start):
         assert lhs[0] == rhs[0], "tailed overlap disagrees on the base group"
         diff = defaultdict(int, lhs[1])
         for slot, c in rhs[1].items():

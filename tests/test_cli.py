@@ -267,8 +267,10 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
     assert code == 0 and json.loads(out)["failed"] == 0
     # 25,143 since the Smith form is taken mod p^e: its V gives other
     # stem covers, whose consistency checks collect 2 fewer words.  24,835
-    # since family_match fingerprints P only for a candidate that needs it
-    assert count == 24835
+    # since family_match fingerprints P only for a candidate that needs it.
+    # 24,513 since tails_system skips the assoc tests of two central
+    # letters, whose relation rows are zero
+    assert count == 24513
     assert runs[1] == runs[0]
 
 

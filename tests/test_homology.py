@@ -131,6 +131,15 @@ def test_abelian_multiplier_closed_form_at_rank_32():
     assert M.divisors == (3,) * 496
 
 
+def test_abelian_multiplier_closed_form_at_rank_64():
+    # a 2016 x 2080 tails matrix; no assoc test of C_3^64 runs, since every
+    # letter is central, so the rows come from the power tests alone
+    P = catalog.elementary_abelian(3, 64)
+    M = schur_multiplier(P)
+    assert M == abelian_multiplier(abelianization_type(P))
+    assert M.divisors == (3,) * 2016
+
+
 def test_elementary_abelian_multiplier_at_rank_20():
     # no entry of its sparse 190 x 210 tails matrix is a unit, so every
     # pivot search reads the whole trailing block

@@ -493,6 +493,27 @@ def _tailed_overlaps(P, overlaps):
     return seen
 
 
+def _reference_tailed_overlaps(R):
+    """The tailed enumeration in the reference order, every test included:
+    the reference ignores the assoc bound that tails_system passes."""
+    def every_test(p, gens, mult, collect, central_start):
+        return _reference_overlaps(p, gens, mult, collect)
+    return _tailed_overlaps(R, every_test)
+
+
+def _of_two_central_letters(P, tag):
+    """Whether `tag` is an assoc test (k, j, i) of P with j >= c, the tests
+    tails_system skips."""
+    return tag[0] == "assoc" and tag[2] >= P._central_start
+
+
+def _zero_row(test):
+    """Whether the two sides of a tailed overlap carry equal tails."""
+    _, (_, lhs), (_, rhs) = test
+    return ({slot: c for slot, c in lhs.items() if c}
+            == {slot: c for slot, c in rhs.items() if c})
+
+
 # the chief-series candidate spaces of orders 16, 27 and 81 that
 # tests/test_table_enumeration.py walks
 CANDIDATE_SPACES = [(2, 4), (3, 3), (3, 4)]
@@ -539,8 +560,46 @@ def test_overlaps_match_the_reference_enumeration(data):
     reference = list(_reference_overlaps(R.p, R.gens(), R.mult, R.collect))
     assert list(P.consistency_checks()) == _in_block_order(reference)
     assert P.is_consistent() == all(lhs == rhs for _, lhs, rhs in reference)
-    assert (_tailed_overlaps(P, _overlaps)
-            == _in_block_order(_tailed_overlaps(R, _reference_overlaps)))
+    assert _tailed_overlaps(P, _overlaps) == _in_block_order(
+        test for test in _reference_tailed_overlaps(R)
+        if not _of_two_central_letters(P, test[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_skipped_assoc_tests_have_zero_rows(data):
+    # the proof in tails_system's docstring, run on the reference tailed
+    # enumeration: every assoc test (k, j, i) with j >= c has equal tails on
+    # both sides, and tails_system runs exactly the other tests, so a bound
+    # one higher keeps a zero row's test and one lower drops a test.  The
+    # proof does not use consistency, so every drawn candidate is tested,
+    # the consistent ones among them.
+    source = data.draw(st.sampled_from(("table", "candidate", "cover")))
+    if source == "table":
+        P = data.draw(st.sampled_from(SMALL_TABLES))
+    elif source == "candidate":
+        P = _draw_candidate(data)
+    else:
+        P = data.draw(st.sampled_from(_solve_groups()[len(SMALL_TABLES):]))
+    R = _with_reference_collector(P)
+    reference = _reference_tailed_overlaps(R)
+    skipped = [test for test in reference
+               if _of_two_central_letters(P, test[0])]
+    assert all(map(_zero_row, skipped))
+    assert _tailed_overlaps(P, _overlaps) == _in_block_order(
+        test for test in reference
+        if not _of_two_central_letters(P, test[0]))
+
+
+def test_the_assoc_tests_just_below_the_skip_give_nonzero_rows():
+    # the skipped set is the whole provable set: a bound one lower would
+    # drop assoc tests (k, c - 1, i) whose rows are not zero
+    nonzero = [P for P in _solve_groups() if any(
+        tag[0] == "assoc" and tag[2] == P._central_start - 1
+        and not _zero_row((tag, lhs, rhs))
+        for tag, lhs, rhs in _reference_tailed_overlaps(
+            _with_reference_collector(P)))]
+    assert nonzero
 
 
 def _collector_calls(P, run):
@@ -560,6 +619,13 @@ def test_consistency_collector_call_counts():
     assert _collector_calls(E, PcPresentation.is_consistent) == 384
     assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 139
     assert _collector_calls(catalog.g6(), tails_system) == 210
+    # tails_system skips the assoc tests of two central letters: without
+    # the skip these read 830, 292 and 1,510
+    assert _collector_calls(catalog.homocyclic(3, 3, 4), tails_system) == 390
+    assert _collector_calls(catalog.elementary_abelian(3, 8),
+                            tails_system) == 180
+    rebuilt = PcPresentation(E.p, E.ngens, E.power, E.comm)
+    assert _collector_calls(rebuilt, tails_system) == 1200
 
 
 def test_cold_stem_cover_collector_calls():
@@ -570,7 +636,8 @@ def test_cold_stem_cover_collector_calls():
     with mock.patch.object(PcPresentation, "_collect_into", autospec=True,
                            side_effect=PcPresentation._collect_into) as calls:
         stem_cover(catalog.g4(3, 3))
-    assert calls.call_count == 1142
+    # 1,128 since tails_system skips the assoc tests of two central letters
+    assert calls.call_count == 1128
 
 
 def test_abelianization_type_matches_the_closure_route():
