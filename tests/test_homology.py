@@ -498,6 +498,26 @@ def test_tails_systems_and_stem_covers_are_byte_identical():
     assert h.hexdigest() == TAILS_AND_COVERS_SHA256
 
 
+# sha256 of the tails systems of both stem covers of each group above and
+# of the shuffled-row cover of G4(3,3): a cover's central block is its
+# multiplier M, so these are the widest blocks a tails system meets here
+COVER_TAILS_SHA256 = (
+    "5421f3419f4807d3a6bf521a2bff5a04aa1c081ecd97ca49d9ac801e4df49fb0")
+
+
+def test_tails_systems_of_covers_are_byte_identical():
+    covers = [stem_cover(P, variant).E
+              for P in _digest_groups() for variant in (0, 1)]
+    covers.append(catalog.load(SHUFFLED_COVER))
+    h = hashlib.sha256()
+    for E in covers:
+        ts = tails_system(E)
+        for part in (ts.relation_matrix, ts.diagonal, ts.V):
+            h.update(repr(part).encode())
+    assert len(covers) == 165
+    assert h.hexdigest() == COVER_TAILS_SHA256
+
+
 def _inverse(columns, p, q):
     """The inverse mod q = p^e of the matrix with these sparse columns,
     by Gauss-Jordan elimination with unit pivots; it must be invertible."""
