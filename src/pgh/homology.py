@@ -7,9 +7,10 @@ power rule and every commutator rule, re-run the consistency overlaps in
 the tailed presentation, and read off the multiplier as the torsion part
 of the cokernel of the resulting integer relation matrix.  The tailed
 presentation has no collector of its own: `PcPresentation._collect_into`
-counts the tails in an optional accumulator, and the overlaps are the
-ones the consistency check enumerates (`pcp._overlaps`), less the
-associativity tests of two central letters, whose rows are zero.
+counts the tails in an optional accumulator, and the overlaps collected
+are the ones the consistency check runs (`pcp._overlaps` over the
+generators before the trailing central block).  The rows of the tests
+that involve a letter of that block are read off the rule words.
 """
 
 import math
@@ -50,23 +51,48 @@ def tails_system(P):
     of P and the tail counts that collecting it accumulates.  Each overlap
     of P gives one relation row, the difference of the tails of its sides.
     The row order decides U, V and so the stem cover, so rows are kept per
-    overlap block as they stream, then joined in a fixed block order, each
-    distinct nonzero row at its first occurrence.
+    overlap block in `_overlaps`' order, then joined in a fixed block
+    order, each distinct nonzero row at its first occurrence.
 
     The SNF runs mod p^(n+1): its cokernel is Z^N x M(G), and by Schur
     exp M(G) divides |G| = p^n, so every torsion invariant is p^v with
     v <= n < n + 1, and the free rank checked below is N.
 
-    The assoc tests (k, j, i) with j >= c = `_central_start` are skipped,
-    since their rows are zero.  For k > j >= c, g_j and g_k lie in the
-    central block, so no rule [g_j, .] or [g_k, .] has a word.  Every
-    exponent in the test is 1 < p, so no power rule fires.  Collecting
-    (g_k g_j) g_i applies exactly one unit each of the empty rules (k, j),
-    (j, i) and (k, i); collecting g_k (g_j g_i) applies the same three.
-    Both sides carry equal tails, and the skip leaves the rows and their
-    order as they were.  The base-group assertion still sees every power
-    test and every overlap among g_1 ... g_c, which by `is_consistent`'s
-    lemma certify P.
+    Only the tests among g_1 ... g_c are collected, c = `_central_start`,
+    so the base-group assertion sees every test that `is_consistent`'s
+    lemma needs to certify P.  A test whose largest index is c or more
+    involves a letter of the central block B; these tests end each block
+    in `_overlaps`' order, and `_central_rows` reads their rows off P's
+    rule words, to be appended after the collected ones.  The proof uses
+    no consistency.  Write T(x) for the tails of collecting the word x,
+    t_b for the tail of g_b^p, t(j, i) for that of [g_j, g_i], w_i for
+    P.power[i] and w_ji for P.comm[(j, i)].  For a rule word w, whose
+    letters g_u^e_u increase with 0 < e_u < p, let
+      tau(b, w) = sum_(u > b) e_u t(u, b) - sum_(u < b) e_u t(b, u)
+    over the letters of w with u != b.
+    (*) If every pair of g_b and a letter u != b of w has its larger index
+        in B, then T(w g_b) - T(g_b w) = tau(b, w), also after a prefix of
+        smaller letters.  No such pair has a commutator rule, so in g_b w
+        each unit of g_u, u < b, passes g_b adding t(b, u), and in w g_b,
+        g_b passes each unit of g_u, u > b, adding t(u, b); neither leaves
+        a word.  On both sides g_b's exponent then becomes 1 + e_b with
+        the letters u > b of w still to collect, so a wrap of g_b collects
+        the same t_b and w_b before them on either side.
+    The rows, lhs - rhs, where g_i^p collects to w_i with tail t_i:
+    - power_self i >= c: T(g_i w_i) - T(w_i g_i) = -tau(i, w_i).
+    - power_left (j, i), j >= c: g_j^p g_i gives t_j + T(w_j g_i).  In
+      g_j^(p-1) (g_j g_i), g_i passes p units of g_j, then g_j wraps:
+      t_j + p t(j, i).  As T(g_i w_j) = 0, the row is
+      tau(i, w_j) - p t(j, i).
+    - power_right (j, i), j >= c: g_j g_i^p gives t_i + T(g_j w_i).  In
+      (g_j g_i) g_i^(p-1), p units of g_i pass g_j, the last one wraps,
+      and w_i is collected before g_j returns: t_i + p t(j, i) +
+      T(w_i g_j).  The row is -tau(j, w_i) - p t(j, i).
+    - assoc (k, j, i), k >= c > j: in (g_k g_j) g_i and g_k (g_j g_i), g_i
+      and g_j pass g_k once each and g_i passes g_j once, and then come
+      T(w_ji g_k) and T(g_k w_ji).  The row is tau(k, w_ji).
+    - assoc (k, j, i), j >= c: the same with the empty w_ji; the row is
+      zero, and the test is skipped.
     """
     n = P.ngens
     ntails = _tail_count(n)
@@ -89,16 +115,18 @@ def tails_system(P):
     # a row is keyed by its sorted (slot, value) nonzeros
     blocks = {tag: {} for tag in ("assoc", "power_left", "power_right",
                                   "power_self")}
-    gens = [collect(((i, 1),)) for i in range(n)]
-    for tag, lhs, rhs in _overlaps(P.p, gens, mult, collect,
-                                   P._central_start):
+    gens = [collect(((i, 1),)) for i in range(P._central_start)]
+    for tag, lhs, rhs in _overlaps(P.p, gens, mult, collect):
         assert lhs[0] == rhs[0], "tailed overlap disagrees on the base group"
         diff = defaultdict(int, lhs[1])
-        for slot, c in rhs[1].items():
-            diff[slot] -= c
-        row = tuple(sorted((slot, c) for slot, c in diff.items() if c))
+        for slot, v in rhs[1].items():
+            diff[slot] -= v
+        row = tuple(sorted((slot, v) for slot, v in diff.items() if v))
         if row:
             blocks[tag[0]][row] = None
+    for tag, pairs in _central_rows(P):
+        if pairs:
+            blocks[tag[0]][tuple(sorted(pairs))] = None
     rows = [dict(row) for row in
             dict.fromkeys(row for block in blocks.values() for row in block)]
 
@@ -108,6 +136,32 @@ def tails_system(P):
             f"tails cokernel free rank {snf.cokernel_free_rank()} != {n}")
     return TailsSystem(ntails, rows, snf.diagonal, snf.V)
 
+
+def _central_rows(P):
+    """Yield (tag, pairs) for each overlap test of P whose largest index is
+    `_central_start` or more, in `_overlaps`' order, less the assoc tests
+    of two central letters: the (slot, value) pairs of its relation row,
+    each slot once and every value nonzero.  `tails_system` proves them."""
+    n, c, p = P.ngens, P._central_start, P.p
+
+    def tau(b, word, sign=1):
+        return [(_tail_slot(n, u, b), sign * e) if u > b else
+                (_tail_slot(n, b, u), -sign * e) for u, e in word if u != b]
+
+    for i in range(c, n):
+        yield ("power_self", i), tau(i, P.power[i], -1)
+    for j in range(c, n):
+        for i in range(j):
+            yield (("power_left", j, i),
+                   tau(i, P.power[j]) + [(_tail_slot(n, j, i), -p)])
+    for j in range(c, n):
+        for i in range(j):
+            yield (("power_right", j, i),
+                   tau(j, P.power[i], -1) + [(_tail_slot(n, j, i), -p)])
+    for k in range(c, n):
+        for j in range(1, c):
+            for i in range(j):
+                yield ("assoc", k, j, i), tau(k, P.comm.get((j, i), ()))
 
 def schur_multiplier(P):
     """Elementary divisors of the Schur multiplier of G."""

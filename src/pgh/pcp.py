@@ -336,8 +336,7 @@ class PcPresentation(metaclass=_SharedWithinBlock):
 
     def consistency_checks(self):
         """Yield (tag, lhs, rhs) for every overlap test, smallest block first."""
-        yield from _overlaps(self.p, self.gens(), self.mult, self.collect,
-                             self.ngens)
+        yield from _overlaps(self.p, self.gens(), self.mult, self.collect)
 
     def is_consistent(self):
         """True when the presentation E defines a group of order p^N.
@@ -377,7 +376,7 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         c = self._central_start
         gens = [self.gen(i) for i in range(c)]
         return all(lhs == rhs for _, lhs, rhs in
-                   _overlaps(self.p, gens, self.mult, self.collect, c))
+                   _overlaps(self.p, gens, self.mult, self.collect))
 
     # -- misc ----------------------------------------------------------
 
@@ -393,7 +392,7 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         return "*".join(parts) or "1"
 
 
-def _overlaps(p, gens, mult, collect, central_start):
+def _overlaps(p, gens, mult, collect):
     """Yield (tag, lhs, rhs) for every overlap test, smallest block first.
 
     `gens[i]` is the collected word g_i, `mult` multiplies two elements and
@@ -404,11 +403,6 @@ def _overlaps(p, gens, mult, collect, central_start):
     inconsistent presentation almost always fails a power test.  The words
     g_j g_i (j > i), g_i^p and g_i^(p-1) are collected once, on first use,
     so a check that stops at a failing test pays for no later one.
-
-    The assoc block runs the tests (k, j, i) with j < `central_start`
-    only.  `tails_system` passes P's `_central_start` c: a test with
-    j >= c gives a zero relation row (see there).  A caller that wants
-    every test passes len(gens).
     """
     n = len(gens)
     memo = {}
@@ -430,7 +424,7 @@ def _overlaps(p, gens, mult, collect, central_start):
             yield (("power_right", j, i), mult(gens[j], word((i, p))),
                    mult(word((j, 1), (i, 1)), word((i, p - 1))))
     for k in range(2, n):
-        for j in range(1, min(k, central_start)):
+        for j in range(1, k):
             for i in range(j):
                 yield (("assoc", k, j, i), mult(word((k, 1), (j, 1)), gens[i]),
                        mult(gens[k], word((j, 1), (i, 1))))

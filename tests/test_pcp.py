@@ -1,6 +1,7 @@
 """Polycyclic presentations: collection, consistency, subgroup and
 series machinery, quotients, and abelian invariants."""
 
+import collections
 import functools
 import importlib.util
 import itertools
@@ -494,24 +495,25 @@ def _tailed_overlaps(P, overlaps):
 
 
 def _reference_tailed_overlaps(R):
-    """The tailed enumeration in the reference order, every test included:
-    the reference ignores the assoc bound that tails_system passes."""
-    def every_test(p, gens, mult, collect, central_start):
+    """The tests tails_system collects, in the reference order."""
+    return _tailed_overlaps(R, _reference_overlaps)
+
+
+def _every_tailed_overlap(R):
+    """Every overlap test of R in the reference order, collected with
+    tails_system's tailed arithmetic, the central block's included."""
+    def every_test(p, gens, mult, collect):
+        gens = [collect(((i, 1),)) for i in range(R.ngens)]
         return _reference_overlaps(p, gens, mult, collect)
     return _tailed_overlaps(R, every_test)
 
 
-def _of_two_central_letters(P, tag):
-    """Whether `tag` is an assoc test (k, j, i) of P with j >= c, the tests
-    tails_system skips."""
-    return tag[0] == "assoc" and tag[2] >= P._central_start
-
-
-def _zero_row(test):
-    """Whether the two sides of a tailed overlap carry equal tails."""
-    _, (_, lhs), (_, rhs) = test
-    return ({slot: c for slot, c in lhs.items() if c}
-            == {slot: c for slot, c in rhs.items() if c})
+def _tailed_row(lhs, rhs):
+    """The relation row of a tailed overlap: the sorted nonzero
+    (slot, value) pairs of the difference of the two sides' tails."""
+    diff = collections.Counter(lhs[1])
+    diff.subtract(rhs[1])
+    return tuple(sorted((slot, v) for slot, v in diff.items() if v))
 
 
 # the chief-series candidate spaces of orders 16, 27 and 81 that
@@ -519,9 +521,9 @@ def _zero_row(test):
 CANDIDATE_SPACES = [(2, 4), (3, 3), (3, 4)]
 
 
-def _draw_candidate(data):
+def _draw_candidate(data, spaces=CANDIDATE_SPACES):
     """A random candidate presentation, most often an inconsistent one."""
-    p, n = data.draw(st.sampled_from(CANDIDATE_SPACES))
+    p, n = data.draw(st.sampled_from(spaces))
 
     def word(low):
         exps = data.draw(st.tuples(*[st.integers(0, p - 1)] * (n - 1 - low)))
@@ -561,45 +563,56 @@ def test_overlaps_match_the_reference_enumeration(data):
     assert list(P.consistency_checks()) == _in_block_order(reference)
     assert P.is_consistent() == all(lhs == rhs for _, lhs, rhs in reference)
     assert _tailed_overlaps(P, _overlaps) == _in_block_order(
-        test for test in _reference_tailed_overlaps(R)
-        if not _of_two_central_letters(P, test[0]))
+        _reference_tailed_overlaps(R))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_skipped_assoc_tests_have_zero_rows(data):
+def test_central_rows_are_the_collected_rows(data):
     # the proof in tails_system's docstring, run on the reference tailed
-    # enumeration: every assoc test (k, j, i) with j >= c has equal tails on
-    # both sides, and tails_system runs exactly the other tests, so a bound
-    # one higher keeps a zero row's test and one lower drops a test.  The
-    # proof does not use consistency, so every drawn candidate is tested,
-    # the consistent ones among them.
+    # enumeration: each test with a letter of the central block, that is
+    # of largest index c or more, holds in the base group and has the
+    # closed-form row, test by test and in order, and the assoc tests
+    # (k, j, i) with j >= c have zero rows.  The proof does not use
+    # consistency, so every drawn candidate is tested, at p up to 7.
     source = data.draw(st.sampled_from(("table", "candidate", "cover")))
     if source == "table":
         P = data.draw(st.sampled_from(SMALL_TABLES))
     elif source == "candidate":
-        P = _draw_candidate(data)
+        P = _draw_candidate(data, CANDIDATE_SPACES + [(5, 3), (5, 4), (7, 3),
+                                                      (7, 4)])
     else:
         P = data.draw(st.sampled_from(_solve_groups()[len(SMALL_TABLES):]))
-    R = _with_reference_collector(P)
-    reference = _reference_tailed_overlaps(R)
-    skipped = [test for test in reference
-               if _of_two_central_letters(P, test[0])]
-    assert all(map(_zero_row, skipped))
-    assert _tailed_overlaps(P, _overlaps) == _in_block_order(
-        test for test in reference
-        if not _of_two_central_letters(P, test[0]))
+    c = P._central_start
+    central, skipped = [], []
+    for tag, lhs, rhs in _every_tailed_overlap(_with_reference_collector(P)):
+        if tag[0] == "assoc" and tag[2] >= c:
+            skipped.append(_tailed_row(lhs, rhs))
+        elif max(tag[1:]) >= c:
+            assert lhs[0] == rhs[0]
+            central.append((tag, _tailed_row(lhs, rhs)))
+    assert [(tag, tuple(sorted(pairs)))
+            for tag, pairs in homology._central_rows(P)] == _in_block_order(
+                central)
+    assert not any(skipped)
 
 
-def test_the_assoc_tests_just_below_the_skip_give_nonzero_rows():
-    # the skipped set is the whole provable set: a bound one lower would
-    # drop assoc tests (k, c - 1, i) whose rows are not zero
-    nonzero = [P for P in _solve_groups() if any(
-        tag[0] == "assoc" and tag[2] == P._central_start - 1
-        and not _zero_row((tag, lhs, rhs))
-        for tag, lhs, rhs in _reference_tailed_overlaps(
-            _with_reference_collector(P)))]
-    assert nonzero
+def test_the_closed_form_rows_stop_at_the_central_block():
+    # c is the exact boundary: with c - 1 in its place, the closed form
+    # gives some test of largest index c - 1 a row that collection does not
+    wrong = []
+    for P in _solve_groups():
+        c = P._central_start
+        if c == 0:
+            continue
+        below = {tag: _tailed_row(lhs, rhs) for tag, lhs, rhs in
+                 _every_tailed_overlap(_with_reference_collector(P))
+                 if max(tag[1:]) == c - 1}
+        with mock.patch.object(P, "_central_start", c - 1):
+            closed = {tag: tuple(sorted(pairs))
+                      for tag, pairs in homology._central_rows(P)}
+        wrong += [tag for tag, row in below.items() if closed[tag] != row]
+    assert wrong
 
 
 def _collector_calls(P, run):
@@ -618,14 +631,17 @@ def test_consistency_collector_call_counts():
     E = stem_cover(catalog.g4(3, 3)).E
     assert _collector_calls(E, PcPresentation.is_consistent) == 384
     assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 139
-    assert _collector_calls(catalog.g6(), tails_system) == 210
-    # tails_system skips the assoc tests of two central letters: without
-    # the skip these read 830, 292 and 1,510
-    assert _collector_calls(catalog.homocyclic(3, 3, 4), tails_system) == 390
+    # tails_system collects only the tests among g_1 ... g_c and reads
+    # the rows of the others off the rule words: these read 210, 390, 180
+    # and 1,200 while it collected every test but the assoc tests of two
+    # central letters, and 830, 292 and 1,510 for the last three before
+    # that; an abelian group has c = 0 and collects nothing
+    assert _collector_calls(catalog.g6(), tails_system) == 145
+    assert _collector_calls(catalog.homocyclic(3, 3, 4), tails_system) == 0
     assert _collector_calls(catalog.elementary_abelian(3, 8),
-                            tails_system) == 180
+                            tails_system) == 0
     rebuilt = PcPresentation(E.p, E.ngens, E.power, E.comm)
-    assert _collector_calls(rebuilt, tails_system) == 1200
+    assert _collector_calls(rebuilt, tails_system) == 393
 
 
 def test_cold_stem_cover_collector_calls():
@@ -636,8 +652,9 @@ def test_cold_stem_cover_collector_calls():
     with mock.patch.object(PcPresentation, "_collect_into", autospec=True,
                            side_effect=PcPresentation._collect_into) as calls:
         stem_cover(catalog.g4(3, 3))
-    # 1,128 since tails_system skips the assoc tests of two central letters
-    assert calls.call_count == 1128
+    # 1,128 while tails_system collected every test but the assoc tests of
+    # two central letters; 959 since it collects only those among g_1 ... g_c
+    assert calls.call_count == 959
 
 
 def test_abelianization_type_matches_the_closure_route():
