@@ -817,6 +817,67 @@ def test_central_block_check_matches_the_full_check_on_cover_mutants():
     assert 0 < sum(full for _, full in verdicts) < len(verdicts)
 
 
+def _base_rules(c):
+    """The rules of g_1 ... g_c: power rules by index, commutator rules by
+    pair."""
+    return list(range(c)) + [(j, i) for j in range(1, c) for i in range(j)]
+
+
+def _cover_mutant(E, rule, g, e):
+    """E, unchecked, with e times the letter g_g added to `rule`, as
+    in the test above."""
+    power, comm = list(E.power), dict(E.comm)
+    if isinstance(rule, int):
+        power[rule] = _add_letter(power[rule], g, e, E.p)
+    else:
+        comm[rule] = _add_letter(comm.get(rule, ()), g, e, E.p)
+    return PcPresentation(E.p, E.ngens, power, comm, check_consistent=False)
+
+
+def _central_pairs(P):
+    """The pairs (j, i) among g_1 ... g_c, c = `_central_start`, whose
+    commutator rule word lies in the central block; an empty word counts."""
+    c = P._central_start
+    return {(j, i) for j in range(1, c) for i in range(j)
+            if all(g >= c for g, _ in P.comm.get((j, i), ()))}
+
+
+def _central_assoc(tag, central):
+    """Whether `tag` is an assoc test (k, j, i) whose pairs (k, j), (k, i)
+    and (j, i) are all in `central`."""
+    return tag[0] == "assoc" and {tag[1:3], tag[1::2], tag[2:]} <= central
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_assoc_tests_of_three_central_rules_hold(data):
+    # part (d) of the lemma in PcPresentation.is_consistent: an assoc test
+    # among g_1 ... g_c whose three commutator rules have words in the
+    # central block holds, with either untailed collector.  The proof does
+    # not use consistency, so every drawn presentation is tested, most
+    # candidates and mutants inconsistent.
+    source = data.draw(st.sampled_from(("table", "candidate", "cover",
+                                        "mutant")))
+    if source == "table":
+        P = data.draw(st.sampled_from(SMALL_TABLES))
+    elif source == "candidate":
+        P = _draw_candidate(data, CANDIDATE_SPACES + [(5, 3), (5, 4), (7, 3),
+                                                      (7, 4)])
+    elif source == "cover":
+        P = data.draw(st.sampled_from(_solve_groups()[len(SMALL_TABLES):]))
+    else:
+        E, c = data.draw(st.sampled_from(_block_covers()))
+        P = _cover_mutant(E, data.draw(st.sampled_from(_base_rules(c))),
+                          data.draw(st.integers(c, E.ngens - 1)),
+                          data.draw(st.integers(1, E.p - 1)))
+    central = _central_pairs(P)
+    gens = [P.gen(i) for i in range(P._central_start)]
+    for Q in (P, _with_reference_collector(P)):
+        assert [tag for tag, lhs, rhs in
+                _overlaps(Q.p, gens, Q.mult, Q.collect)
+                if _central_assoc(tag, central) and lhs != rhs] == []
+
+
 def test_consistency_check_stops_at_the_last_commutator_rule():
     # no commutator rule: every generator is in the central block
     P = catalog.homocyclic(3, 3, 4)
