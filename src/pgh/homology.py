@@ -8,9 +8,11 @@ the tailed presentation, and read off the multiplier as the torsion part
 of the cokernel of the resulting integer relation matrix.  The tailed
 presentation has no collector of its own: `PcPresentation._collect_into`
 counts the tails in an optional accumulator, and the overlaps collected
-are the ones the consistency check runs (`pcp._overlaps` over the
-generators before the trailing central block).  The rows of the tests
-that involve a letter of that block are read off the rule words.
+are those `pcp._overlaps` enumerates over the generators before the
+trailing central block: the ones the consistency check runs, plus the
+assoc tests whose three rule words lie in the block, which always hold
+untailed, so the check leaves them out, but have rows here.  The rows of
+the tests that involve a letter of that block are read off the rule words.
 """
 
 import math

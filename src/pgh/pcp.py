@@ -372,11 +372,25 @@ class PcPresentation(metaclass=_SharedWithinBlock):
             R = 0 iff the overlaps among g_1 ... g_c hold in E.
         Then |E| = p^c p^(N-c) = p^N, and the overlaps that involve a
         letter of B hold as well.
+        (d) Call a pair j > i central when the word of [g_j, g_i] lies in
+            B (an empty word counts).  An assoc test (k, j, i) whose pairs
+            (k, j), (k, i) and (j, i) are all central holds, consistent or
+            not, so `_overlaps` skips it.  The untailed collector never
+            moves a letter of B and moves a head letter only past head
+            letters, so the head part and the B part of a collection
+            evolve apart.  On each side g_j passes g_k once and g_i passes
+            g_k and g_j once each, so each of the three rules applies once
+            and no other rule does; their words add only letters of B, and
+            g_i, g_j, g_k end at exponent 1 < p, so no power rule of the
+            head fires.  Both sides end as g_i g_j g_k times the sum in A
+            of the three words (`mult` adds the right factor's B part as
+            a normal form, the same element of A), and by (b) that sum
+            does not depend on the order of the additions.
         """
         c = self._central_start
         gens = [self.gen(i) for i in range(c)]
         return all(lhs == rhs for _, lhs, rhs in
-                   _overlaps(self.p, gens, self.mult, self.collect))
+                   _overlaps(self.p, gens, self.mult, self.collect, self.comm))
 
     # -- misc ----------------------------------------------------------
 
@@ -392,7 +406,7 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         return "*".join(parts) or "1"
 
 
-def _overlaps(p, gens, mult, collect):
+def _overlaps(p, gens, mult, collect, comm=None):
     """Yield (tag, lhs, rhs) for every overlap test, smallest block first.
 
     `gens[i]` is the collected word g_i, `mult` multiplies two elements and
@@ -403,6 +417,13 @@ def _overlaps(p, gens, mult, collect):
     inconsistent presentation almost always fails a power test.  The words
     g_j g_i (j > i), g_i^p and g_i^(p-1) are collected once, on first use,
     so a check that stops at a failing test pays for no later one.
+
+    Given the commutator rules `comm`, the assoc block leaves out each test
+    (k, j, i) whose rules [g_k, g_j], [g_k, g_i] and [g_j, g_i] have words
+    in the generators from index n on: such a test holds in the untailed
+    arithmetic (part (d) of `PcPresentation.is_consistent`, the one caller
+    that passes `comm`).  `tails_system` walks those letters one unit at a
+    time and needs the rows, and `consistency_checks` lists every test.
     """
     n = len(gens)
     memo = {}
@@ -423,9 +444,19 @@ def _overlaps(p, gens, mult, collect):
         for i in range(j):
             yield (("power_right", j, i), mult(gens[j], word((i, p))),
                    mult(word((j, 1), (i, 1)), word((i, p - 1))))
+    central = set()
+    if comm is not None:
+        for j in range(1, n):
+            for i in range(j):
+                w = comm.get((j, i))
+                if not w or w[0][0] >= n:    # a rule word is a normal form
+                    central.add((j, i))
     for k in range(2, n):
         for j in range(1, k):
+            kj = (k, j) in central
             for i in range(j):
+                if kj and (k, i) in central and (j, i) in central:
+                    continue
                 yield (("assoc", k, j, i), mult(word((k, 1), (j, 1)), gens[i]),
                        mult(gens[k], word((j, 1), (i, 1))))
 

@@ -628,9 +628,11 @@ def test_consistency_collector_call_counts():
     # updates it here and says why in CHANGES.md.
     assert sum(_collector_calls(P, PcPresentation.is_consistent)
                for P in catalog.small_group_table(3, 4)) == 194
+    # is_consistent skips the assoc tests whose three rule words lie in the
+    # central block: the next two read 384 and 139 before it did
     E = stem_cover(catalog.g4(3, 3)).E
-    assert _collector_calls(E, PcPresentation.is_consistent) == 384
-    assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 139
+    assert _collector_calls(E, PcPresentation.is_consistent) == 284
+    assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 119
     # tails_system collects only the tests among g_1 ... g_c and reads
     # the rows of the others off the rule words: these read 210, 390, 180
     # and 1,200 while it collected every test but the assoc tests of two
@@ -653,8 +655,10 @@ def test_cold_stem_cover_collector_calls():
                            side_effect=PcPresentation._collect_into) as calls:
         stem_cover(catalog.g4(3, 3))
     # 1,128 while tails_system collected every test but the assoc tests of
-    # two central letters; 959 since it collects only those among g_1 ... g_c
-    assert calls.call_count == 959
+    # two central letters; 959 since it collects only those among
+    # g_1 ... g_c; 799 since E's check skips the assoc tests whose three
+    # rule words lie in M
+    assert calls.call_count == 799
 
 
 def test_abelianization_type_matches_the_closure_route():
@@ -703,8 +707,9 @@ def test_rejection_collector_call_counts():
     # Exact counts over the full candidate spaces of orders 16 (808 of
     # 1,024 rejected) and 125 (400 of 625), where most candidates fail a
     # power test: a count that grows means the check reaches the cubic
-    # assoc block before the power tests again.
-    for (p, n), calls in {(2, 4): 8448, (5, 3): 2500}.items():
+    # assoc block before the power tests again.  Order 16 read 8,448 before
+    # is_consistent skipped the assoc tests of three central rule words.
+    for (p, n), calls in {(2, 4): 8320, (5, 3): 2500}.items():
         assert sum(_collector_calls(P, PcPresentation.is_consistent)
                    for P in _candidates(p, n)) == calls
 
@@ -728,6 +733,52 @@ def test_inconsistent_associativity_rejected():
             if lhs != rhs] == [("assoc", 3, 1, 0)]
     with pytest.raises(ValueError):
         PcPresentation(2, 5, power, comm)
+
+
+def test_the_assoc_skip_needs_all_three_central_pairs():
+    # the presentation of the test above: its one failing test has two of
+    # its three pairs central, so a skip that asked for two would accept it
+    power = [((4, 1),), (), (), (), ()]
+    comm = {(1, 0): ((2, 1), (4, 1)), (3, 0): ((4, 1),), (3, 2): ((4, 1),)}
+    P = PcPresentation(2, 5, power, comm, check_consistent=False)
+    assert sorted({(3, 1), (3, 0), (1, 0)} & _central_pairs(P)) == [
+        (3, 0), (3, 1)]
+    assert not P.is_consistent()
+
+
+def _consistency_assoc_tests(P):
+    """How many assoc tests is_consistent() collects on P."""
+    tags = []
+
+    def record(*args):
+        for test in _overlaps(*args):
+            tags.append(test[0])
+            yield test
+
+    with mock.patch.object(pcp, "_overlaps", record):
+        assert P.is_consistent()
+    return sum(tag[0] == "assoc" for tag in tags)
+
+
+def test_cover_consistency_skips_the_assoc_tests_of_central_rules():
+    # (assoc tests collected, assoc tests among g_1 ... g_c) for the stem
+    # covers of the benchmark's groups; the difference is the tests whose
+    # three rule words lie in M.  Exact, as the call-count gates are.
+    covers = {
+        "EA(3,8)": (catalog.elementary_abelian(3, 8), 0, 56),
+        "homocyclic(3,3,4)": (catalog.homocyclic(3, 3, 4), 0, 220),
+        "G1(3,9)": (catalog.g1(3, 9), 7, 84),
+        "G4(3,4)": (catalog.g4(3, 4), 80, 220),
+        "G6": (catalog.g6(), 22, 35),
+        "G4(3,3)": (catalog.g4(3, 3), 34, 84),
+        "G5(3)": (catalog.g5(3), 10, 20),
+        "G1(3,7)": (catalog.g1(3, 7), 5, 35),
+    }
+    for name, (G, collected, among) in covers.items():
+        E = stem_cover(G).E
+        c = E._central_start
+        assert (_consistency_assoc_tests(E),
+                c * (c - 1) * (c - 2) // 6) == (collected, among), name
 
 
 def _full_check(P):
