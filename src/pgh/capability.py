@@ -6,26 +6,28 @@ M.  It is computed as the kernel of z -> ([z^, g_1^], ..., [z^, g_d^]),
 Z(G) -> M^d, for lifts ^ of central z and of generators g_i of G: M is
 central in E, so each commutator lies in M, does not depend on the
 lifts and is a homomorphism in z.  The exterior pairing a ^ b is
-realized as [a^, b^] in the cover, independent of the lifts for the
-same reason.
+[a^, b^] in the cover, independent of the lifts for the same reason.
+Each function takes G's presentation P and reads `stem_cover(P)`.
 """
 
 import math
 
 from .homology import stem_cover
 from .pcp import (AbelianSection, center, frattini_subgroup, log_p,
-                  subgroup_closure)
+                  per_presentation, subgroup_closure)
 from .snf import smith_normal_form
 
 
-def exterior_pair(cover, a, b):
-    """a ^ b as the element [a^, b^] of the stem cover E, for canonical
-    lifts; it lies in E', which is G ^ G."""
+def exterior_pair(P, a, b):
+    """a ^ b as [a^, b^] in E of `stem_cover(P)`; it lies in E' = G ^ G."""
+    cover = stem_cover(P)
     return cover.E.commutator(cover.lift(a), cover.lift(b))
 
 
-def epicenter(cover):
-    """Z*(G) as a subgroup of G: the obstruction to capability.
+@per_presentation
+def epicenter(P, variant=0):
+    """Z*(G) as a subgroup of G, the obstruction to capability, read off
+    `stem_cover(P, variant)` and stored on P.
 
     The z_j generate Z(G), one per invariant factor; the g_i are a
     Burnside basis (the pc generators outside the Frattini subgroup).
@@ -40,7 +42,7 @@ def epicenter(cover):
     So the rows above span the kernel up to p^e * Z^k, and every o_j
     divides p^e, so z_j^(p^e) = 1 and those vectors give the identity.
     """
-    P, E = cover.base, cover.E
+    cover = stem_cover(P, variant)
     zg = center(P)
     zsec = AbelianSection(P, zg)
     zs = zsec.representatives()
@@ -53,7 +55,7 @@ def epicenter(cover):
         zhat = cover.lift(z)
         row = {}
         for i, g in enumerate(gs):
-            c = cover.multiplier_coords(E.commutator(zhat, g))
+            c = cover.multiplier_coords(cover.E.commutator(zhat, g))
             for k, (ci, d) in enumerate(zip(c, cover.divisors)):
                 if ci:
                     row[i * w + k] = ci * (N // d)
@@ -73,18 +75,12 @@ def epicenter(cover):
     return sub
 
 
-def is_capable(cover):
+def is_capable(P):
     """True iff the epicenter is trivial."""
-    return len(epicenter(cover).basis) == 0
+    return not epicenter(P).basis
 
 
 def epicenter_crosscheck(P):
-    """Build two covers with different complements; compare epicenters.
-
-    Returns True when both complement choices give the same subgroup of
-    G.  A mismatch would mean the cover-dependence assumption is wrong
-    for this group; it is surfaced, never patched over.
-    """
-    e0 = epicenter(stem_cover(P, variant=0))
-    e1 = epicenter(stem_cover(P, variant=1))
-    return e0.issubset(e1) and e1.issubset(e0)
+    """True when both variants of the stem cover, whose complements
+    differ, give one epicenter, as Z*(G) does not depend on the cover."""
+    return epicenter(P) == epicenter(P, variant=1)

@@ -275,8 +275,8 @@ def stem_cover(P, variant=0):
             v = ts.V[idx].get(slot, 0)
             if variant == 1 and free0 is not None:
                 v += ts.V[free0].get(slot, 0)
-            v %= d
-            word.extend(_base_p_word(v, chain, p))
+            if v % d:
+                word.extend(_base_p_word(v % d, chain, p))
         return tuple(word)
 
     power = []
@@ -461,6 +461,7 @@ def be_sequence(P):
 # -- trilinear and quadrilinear commutator maps -----------------------
 
 
+@per_presentation
 def central_quotient_section(P):
     """(G/Z(G))^ab = G / G'Z(G) as an abelian section."""
     z = center(P)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import catalog
 from .capability import is_capable
-from .homology import schur_multiplier, stem_cover
+from .homology import schur_multiplier
 from .pcp import (AbelianSection, _central_part, abelian_invariants,
                   abelianization_type, center, derived_subgroup,
                   full_subgroup, log_p, lower_central_series,
@@ -161,7 +161,7 @@ def report(P):
         t=green2 // 2 - mexp,
         attains_rai=nonabelian and 2 * mexp == rai2,
         attains_niroomand=nonabelian and 2 * mexp == nir2,
-        capable=is_capable(stem_cover(P)),
+        capable=is_capable(P),
         family_match=family_match(P),
     )
 

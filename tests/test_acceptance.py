@@ -81,13 +81,12 @@ def test_criterion_03_main_theorem_attainment():
 
 def test_criterion_04_capability():
     for name, P in _attainer_groups():
-        assert is_capable(stem_cover(P)), name
+        assert is_capable(P), name
     for m in (2, 3):
         P = catalog.min_nonabelian_a(3, m, m - 1)
-        cover = stem_cover(P)
-        epi = epicenter(cover)
+        epi = epicenter(P)
         der = derived_subgroup(P)
-        assert not is_capable(cover)
+        assert not is_capable(P)
         assert epi.order == 3
         assert epi.issubset(der) and der.issubset(epi)
 
@@ -154,8 +153,8 @@ def test_criterion_09_property_suites():
         P = catalog.min_nonabelian_a(3, m, m - 1)
         cover = stem_cover(P)
         E, a, b = cover.E, P.gen(0), P.gen(1)
-        assert E.pow(exterior_pair(cover, b, a), 3 ** (m - 1)) == E.identity()
-        assert exterior_pair(cover, a, P.commutator(a, b)) == E.identity()
+        assert E.pow(exterior_pair(P, b, a), 3 ** (m - 1)) == E.identity()
+        assert exterior_pair(P, a, P.commutator(a, b)) == E.identity()
 
 
 def test_criterion_10_quotient_attainment():
@@ -181,6 +180,6 @@ def test_criterion_11_epicenter_cover_independence():
         catalog.min_nonabelian_a(3, 2, 1),  # non-capable instance
     ]
     assert sum(1 for P in groups
-               if not is_capable(stem_cover(P))) >= 1
+               if not is_capable(P)) >= 1
     for P in groups:
         assert epicenter_crosscheck(P)

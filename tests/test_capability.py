@@ -2,13 +2,14 @@
 
 import pytest
 
-from pgh import catalog
+from pgh import capability, catalog
 from pgh.capability import (epicenter, epicenter_crosscheck, exterior_pair,
                             is_capable)
 from pgh.cli import _catalog_groups
 from pgh.homology import stem_cover
 from pgh.pcp import (AbelianSection, center, derived_subgroup, direct_product,
                      subgroup_closure)
+from pgh.verify import report
 from test_pcp import _center_reference, _scrambled
 
 
@@ -23,7 +24,7 @@ from test_pcp import _center_reference, _scrambled
     lambda: catalog.elementary_abelian(3, 2),
 ])
 def test_capable_groups(builder):
-    assert is_capable(stem_cover(builder()))
+    assert is_capable(builder())
 
 
 @pytest.mark.parametrize("builder, reps, epi", [
@@ -59,24 +60,24 @@ def test_u_readers_give_the_recorded_results(builder, reps, epi):
     # values such as these tell the moduli apart
     P = builder()
     assert AbelianSection(P, center(P)).representatives() == reps
-    assert list(epicenter(stem_cover(P)).basis) == epi
+    assert list(epicenter(P).basis) == epi
 
 
 @pytest.mark.slow
 def test_capable_g6():
-    assert is_capable(stem_cover(catalog.g6()))
+    assert is_capable(catalog.g6())
 
 
 def test_q8_not_capable():
-    cover = stem_cover(catalog.quaternion8())
-    assert not is_capable(cover)
-    assert epicenter(cover).order == 2
+    P = catalog.quaternion8()
+    assert not is_capable(P)
+    assert epicenter(P).order == 2
 
 
 def test_cyclic_not_capable():
-    cover = stem_cover(catalog.cyclic(3, 2))
-    assert not is_capable(cover)
-    assert epicenter(cover).order == 9
+    P = catalog.cyclic(3, 2)
+    assert not is_capable(P)
+    assert epicenter(P).order == 9
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -84,10 +85,9 @@ def test_noncapable_family_epicenter_is_derived(m):
     # the minimal non-abelian type (a) family with n = m - 1 has
     # epicenter exactly G', of order p
     P = catalog.min_nonabelian_a(3, m, m - 1)
-    cover = stem_cover(P)
-    epi = epicenter(cover)
+    epi = epicenter(P)
     der = derived_subgroup(P)
-    assert not is_capable(cover)
+    assert not is_capable(P)
     assert epi.order == 3
     assert epi.issubset(der) and der.issubset(epi)
 
@@ -98,8 +98,8 @@ def test_exterior_identities_noncapable_family(m):
     P = catalog.min_nonabelian_a(3, m, m - 1)
     cover = stem_cover(P)
     E, a, b = cover.E, P.gen(0), P.gen(1)
-    assert E.pow(exterior_pair(cover, b, a), 3 ** (m - 1)) == E.identity()
-    assert exterior_pair(cover, a, P.commutator(a, b)) == E.identity()
+    assert E.pow(exterior_pair(P, b, a), 3 ** (m - 1)) == E.identity()
+    assert exterior_pair(P, a, P.commutator(a, b)) == E.identity()
 
 
 def test_exterior_pair_bilinearity_center():
@@ -108,9 +108,32 @@ def test_exterior_pair_bilinearity_center():
     P = catalog.extraspecial_e1(3)
     cover = stem_cover(P)
     E, a, b = cover.E, P.gen(0), P.gen(1)
-    w = exterior_pair(cover, a, b)
+    w = exterior_pair(P, a, b)
     assert E.pow(w, 3) == E.identity()
     assert w != E.identity()
+
+
+def test_epicenter_is_stored_on_the_presentation():
+    P = catalog.g4(3, 2)
+    assert epicenter(P) is epicenter(P, variant=0)
+    assert epicenter(P, variant=1) is not epicenter(P)
+
+
+def test_report_and_crosscheck_take_two_epicenter_smith_forms(monkeypatch):
+    # report computes the variant-0 epicenter and the crosscheck reads it
+    # back, so only the variant-1 epicenter is computed a second time
+    calls = []
+    smith_normal_form = capability.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return smith_normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(capability, "smith_normal_form", counted)
+    P = catalog.g4(3, 2)
+    assert report(P).capable
+    assert epicenter_crosscheck(P)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("builder", [
@@ -147,7 +170,7 @@ def epicenter_cases():
     for name, P in groups:
         for variant in (0, 1):
             cover = stem_cover(P, variant=variant)
-            cases.append((name, cover, epicenter(cover)))
+            cases.append((name, cover, epicenter(P, variant)))
     return cases
 
 

@@ -209,6 +209,23 @@ def test_readme_cli_commands_exit_0():
         assert out
 
 
+def test_readme_library_example_gives_its_comments():
+    # each expression line gives the value written in its comment
+    section = README.read_text().split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expr = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        assert eval(expr, namespace) == eval(comment), line
+        checked += 1
+    assert checked == 3
+
+
 def test_entry_point_installed(tmp_path):
     entry = importlib.metadata.EntryPoint(
         name="pgh", value=declared_scripts()["pgh"], group="console_scripts")
@@ -272,9 +289,43 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
     # letters, whose relation rows are zero.  22,165 since it collects only
     # the tests among g_1 ... g_c and reads the others' rows off the rules.
     # 21,885 since is_consistent skips the assoc tests whose three rule
-    # words lie in the central block, which always hold
-    assert count == 21885
+    # words lie in the central block, which always hold.  21,457 since
+    # the epicenter is stored on P, so the report and the crosscheck share
+    # the variant-0 one (274 fewer), and central_quotient_section is, so
+    # psi2_image and psi3_image share one section (150 fewer), and the
+    # epicenter of the non-capable family is compared with G' by ==,
+    # which tests one containment after the leading indices (4 fewer)
+    assert count == 21457
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "--family", "E1", "--p", "3"),
+    ("multiplier", "--family", "E1", "--p", "3"),
+    ("capable", "--family", "E1", "--p", "3"),
+    ("bounds", "--n", "3", "--k", "1", "--d", "2"),
+])
+def test_verbose_is_a_usage_error_outside_verify(argv, capsys):
+    # only verify reads --verbose; the parser rejects it elsewhere
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--verbose")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --verbose\n" in err
+
+
+def test_verify_verbose_prints_every_detail():
+    # --verbose gives each passing check its detail too, as the json has it
+    code, out = run_cli("verify", "--suite", "homology", "--p", "3",
+                        "--verbose")
+    _, doc = run_cli("verify", "--suite", "homology", "--p", "3",
+                     "--format", "json")
+    checks = json.loads(doc)["checks"]
+    assert code == 0 and all(c["pass"] and c["detail"] for c in checks)
+    assert out.splitlines() == [
+        f"PASS {c['name']}  ({c['detail']})" for c in checks
+    ] + [f"{len(checks)} passed, 0 failed"]
 
 
 GROUP_G4_14 = ("group", "--family", "G4", "--p", "3", "--m", "14")

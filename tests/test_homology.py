@@ -625,7 +625,7 @@ def test_a_multiplier_never_builds_u(monkeypatch):
     P = catalog.g4(3, 3)
     assert schur_multiplier(P) == AbelianType.from_divisors([27, 27])
     assert built == []
-    assert not epicenter(stem_cover(P)).basis
+    assert not epicenter(P).basis
     assert built
 
 
@@ -712,7 +712,7 @@ def test_multiplier_coords_agree_with_the_section_route():
                 assert cover.multiplier_coords(E.mult(a, b)) == tuple(
                     (x + y) % d for x, y, d in zip(coords[a], coords[b], ds))
             want = _epicenter_via_section(cover)
-            got = epicenter(cover)
+            got = epicenter(P, variant)
             assert got.issubset(want) and want.issubset(got)
 
 
