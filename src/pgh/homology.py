@@ -187,6 +187,78 @@ def tensor_abelian(A, B):
 # -- stem covers ------------------------------------------------------
 
 
+class TailImages:
+    """The image in M = (+) C_d, d over `divisors`, of each tail of the
+    covering presentation, under the complement of the torsion part that
+    the tails SNF's V gives: `images[slot]` lists the (k, v) with
+    0 < v < d_k, k increasing, for M's coordinate k of tail t_slot.
+
+    `stem_cover` replaces each tail of P's rules by its image, so E is
+    the covering presentation with every tail read into M; a relation
+    row r vanishes there, as r * V[idx_k] = (U^-1 D)_k is a multiple of
+    d_k, and r * V[free0] = 0 (mod p^(n+1)) for the free column variant 1
+    adds.  It holds no reference to the presentation that stores it.
+    """
+
+    def __init__(self, divisors, images):
+        self.divisors = divisors
+        self.images = images
+
+    def commutator(self, P, x, y):
+        """Sparse coordinates {k: c}, k increasing and 0 < c < d_k, of
+        [x^, y^] in M, for elements x, y of G = P that commute.
+
+        An element of the covering group is a pair of a normal form of P
+        and the tail counts T that collecting it accumulates.  A normal
+        word collects with zero tails, so x^ = (x, 0).  Each rule that the
+        tailed collector applies is a rule of E once its tail is read into
+        M, so x^ y^ is (xy, T(xy)) read into M, and so is y^ x^.  As xy = yx
+        in G the two normal forms agree, and tails are central, so
+        [x^, y^] = (y^ x^)^-1 x^ y^ = (1, T(xy) - T(yx)).  Raises ValueError
+        when the normal forms differ.
+        """
+        xy, txy = list(x), defaultdict(int)
+        P._collect_into(xy, compress(enumerate(y), y), txy)
+        yx, tyx = list(y), defaultdict(int)
+        P._collect_into(yx, compress(enumerate(x), x), tyx)
+        if xy != yx:
+            raise ValueError("the elements do not commute in G")
+        for slot, c in tyx.items():
+            txy[slot] -= c
+        coords = defaultdict(int)
+        for slot, c in txy.items():
+            if c:
+                for k, v in self.images.get(slot, ()):
+                    coords[k] += c * v
+        ds = self.divisors
+        return {k: c % ds[k] for k, c in sorted(coords.items()) if c % ds[k]}
+
+
+@per_presentation
+def tail_images(P, variant=0):
+    """`TailImages` of the complement of `stem_cover(P, variant)`, read off
+    V once per variant: V's torsion columns, and at variant 1 its first
+    free column, turned into slot -> [(k, v)] lists."""
+    if variant not in (0, 1):
+        raise ValueError("variant must be 0 or 1")
+    ts = tails_system(P)
+    torsion = [(idx, d) for idx, d in enumerate(ts.diagonal) if d > 1]
+    free = {}
+    if variant == 1 and len(ts.diagonal) < ts.tail_count:
+        free = ts.V[len(ts.diagonal)]
+    images = defaultdict(list)
+    for k, (idx, d) in enumerate(torsion):
+        column = ts.V[idx]
+        if free:
+            column = {slot: column.get(slot, 0) + free.get(slot, 0)
+                      for slot in column.keys() | free.keys()}
+        for slot, v in column.items():
+            if v % d:
+                images[slot].append((k, v % d))
+    divisors = tuple(d for _, d in torsion)
+    return TailImages(divisors, dict(images))
+
+
 class StemCover:
     """Central extension 1 -> M -> E -> G -> 1 with M <= Z(E) and M <= E'.
 
@@ -250,19 +322,14 @@ def stem_cover(P, variant=0):
     no commutator rule has a letter of M on its left, so M is abelian, and
     it is spanned by chain heads of orders dividing the d: M = (+) C_d.
     """
-    if variant not in (0, 1):
-        raise ValueError("variant must be 0 or 1")
-    ts = tails_system(P)
+    images = tail_images(P, variant)
     p = P.p
     n = P.ngens
-    diag = ts.diagonal
-    torsion = [(idx, d) for idx, d in enumerate(diag) if d > 1]
-    free0 = len(diag) if len(diag) < ts.tail_count else None
 
     # new central generators: one refined chain per torsion coordinate
     chains = []
     start = n
-    for _, d in torsion:
+    for d in images.divisors:
         e = log_p(d, p)
         chains.append(list(range(start, start + e)))
         start += e
@@ -270,14 +337,8 @@ def stem_cover(P, variant=0):
 
     def tail_image(slot):
         """Word (over the new generators) of the image of tail t_slot in M."""
-        word = []
-        for (idx, d), chain in zip(torsion, chains):
-            v = ts.V[idx].get(slot, 0)
-            if variant == 1 and free0 is not None:
-                v += ts.V[free0].get(slot, 0)
-            if v % d:
-                word.extend(_base_p_word(v % d, chain, p))
-        return tuple(word)
+        return tuple(g for k, v in images.images.get(slot, ())
+                     for g in _base_p_word(v, chains[k], p))
 
     power = []
     for i in range(n):
@@ -297,7 +358,7 @@ def stem_cover(P, variant=0):
         labels[chain[0]] = f"m{ci + 1}"
     E = PcPresentation(p, total, power, comm, labels)
     M = Subgroup(E, [E.gen(i) for i in range(n, total)])
-    cover = StemCover(P, E, M, chains, tuple(d for _, d in torsion))
+    cover = StemCover(P, E, M, chains, images.divisors)
     _check_stem_extension(P, E)
     # projection must be a homomorphism: check on generator products
     for i in range(n):
@@ -396,39 +457,39 @@ class ExactSequenceReport:
 def be_sequence(P):
     """Evaluate the map g: G' (x) G/G' -> M(G) and its exactness data.
 
-    g(x (x) zG') = [x^, z^] computed in a stem cover; requires class
-    exactly 2 (so that commutators of lifts of G' elements land in M).
-    Each g-value is read in M's chain coordinates, so the image order and
-    the kernel checks are computed in (+) C_d.
+    g(x (x) zG') = [x^, z^] in a stem cover; requires class exactly 2, so
+    that x in G' is central and the commutator lies in M.  It is read off
+    the tails with no cover built (`TailImages.commutator`), in the M
+    coordinates of `stem_cover(P)`, so the image order and the kernel
+    checks are computed in (+) C_d.
     """
     series = lower_central_series(P)
     if len(series) - 1 != 2:
         raise ValueError("the exact-sequence map requires class exactly 2")
-    cover = stem_cover(P)
-    E = cover.E
+    images = tail_images(P)
+    divisors = images.divisors
     derived = series[1]
     sa = AbelianSection(P, derived)
     sb = AbelianSection(P, full_subgroup(P), derived)
 
     def g_coords(x, z):
         try:
-            return cover.multiplier_coords(
-                E.commutator(cover.lift(x), cover.lift(z)))
+            c = images.commutator(P, x, z)
         except ValueError:
             raise AssertionError("image of g escapes M") from None
+        return tuple(c.get(k, 0) for k in range(len(divisors)))
 
     def vanishes(*coords):
         """True when the g-values with these coordinates multiply to 1."""
-        return all(sum(xs) % d == 0
-                   for d, xs in zip(cover.divisors, zip(*coords)))
+        return all(sum(xs) % d == 0 for d, xs in zip(divisors, zip(*coords)))
 
     zs = sb.representatives()
-    image_order = _span_order(P.p, cover.divisors, [
+    image_order = _span_order(P.p, divisors, [
         g_coords(x, z) for x in sa.representatives() for z in zs])
     tensor_order = tensor_abelian(sa.type, sb.type).order
     kernel_order = tensor_order // image_order
 
-    m_order = cover.M.order
+    m_order = math.prod(divisors)
     qm_order = abelian_multiplier(sb.type).order
     k_order = derived.order
     identity_ok = (kernel_order * m_order * k_order

@@ -6,7 +6,7 @@ from pgh import capability, catalog
 from pgh.capability import (epicenter, epicenter_crosscheck, exterior_pair,
                             is_capable)
 from pgh.cli import _catalog_groups
-from pgh.homology import stem_cover
+from pgh.homology import stem_cover, tail_images
 from pgh.pcp import (AbelianSection, center, derived_subgroup, direct_product,
                      subgroup_closure)
 from pgh.verify import report
@@ -175,6 +175,8 @@ def epicenter_cases():
 
 
 def test_epicenter_matches_center_of_cover(epicenter_cases):
+    """`epicenter` takes the tails route and builds no cover, so this
+    checks it against proj(Z(E)) closed in the cover E of each variant."""
     for name, cover, epi in epicenter_cases:
         assert epi == _epicenter_reference(cover), name
     # the comparison is not vacuous: many groups have a nontrivial epicenter
@@ -187,3 +189,57 @@ def test_epicenter_lifts_are_central(epicenter_cases):
         for z in epi.basis:
             for g in E.gens():
                 assert E.commutator(cover.lift(z), g) == E.identity(), name
+
+
+def _route_groups():
+    """The p^3 and p^4 tables at p = 2, 3 and 5, the p = 3 verify catalog
+    with G6, and E1(1009), a large prime, where the tailed collector walks
+    long runs."""
+    groups = []
+    for p in (2, 3, 5):
+        for e in (3, 4):
+            groups += [(f"order {p}^{e} #{i}", P)
+                       for i, P in enumerate(catalog.small_group_table(p, e))]
+    groups += _catalog_groups(3, deep=True)
+    groups.append(("E1(1009)", catalog.extraspecial_e1(1009)))
+    return groups
+
+
+def test_tails_route_matches_the_cover_route():
+    # epicenter reads [z^, g^] off the tails; the private reference builds
+    # the stem cover E and collects the commutators in it.  Both feed the
+    # same Smith form, so the bases agree exactly, not just the subgroups
+    noncapable = set()
+    for name, P in _route_groups():
+        for variant in (0, 1):
+            got = epicenter(P, variant)
+            want = capability._epicenter_through_cover(P, variant)
+            assert got == want, (name, variant)
+            assert got.basis == want.basis, (name, variant)
+            if got.basis:
+                noncapable.add(name)
+    # the comparison is not vacuous: many groups have a nontrivial epicenter
+    assert len(noncapable) >= 10
+
+
+def test_tails_commutators_are_the_cover_commutators():
+    # the epicenter's kernel hides a wrong coordinate that leaves it fixed,
+    # so compare the M coordinates themselves: [z^, y^] for every z of
+    # Z(G)'s basis and y a generator or a product of two, in both covers
+    for name, P in _route_groups():
+        ys = P.gens() + [P.mult(a, b) for a, b in zip(P.gens(), P.gens()[1:])]
+        for variant in (0, 1):
+            images = tail_images(P, variant)
+            cover = stem_cover(P, variant)
+            assert images.divisors == cover.divisors, (name, variant)
+            for z in center(P).basis:
+                for y in ys:
+                    got = images.commutator(P, z, y)
+                    want = cover.multiplier_coords(cover.E.commutator(
+                        cover.lift(z), cover.lift(y)))
+                    assert tuple(got.get(k, 0) for k in range(len(want))) \
+                        == want, (name, variant, z, y)
+    # elements that do not commute in G are refused
+    P = catalog.extraspecial_e1(3)
+    with pytest.raises(ValueError, match="do not commute"):
+        tail_images(P).commutator(P, P.gen(0), P.gen(1))

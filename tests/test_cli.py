@@ -294,8 +294,12 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
     # the variant-0 one (274 fewer), and central_quotient_section is, so
     # psi2_image and psi3_image share one section (150 fewer), and the
     # epicenter of the non-capable family is compared with G' by ==,
-    # which tests one containment after the leading indices (4 fewer)
-    assert count == 21457
+    # which tests one containment after the leading indices (4 fewer).
+    # 20,169 since the epicenter and be_sequence read commutators off the
+    # tails, two tailed collections each, in place of building the
+    # variant-0 cover and collecting in it (3,550 fewer untailed and 2,328
+    # more tailed calls), and the variants share one Z(G) section (66 fewer)
+    assert count == 20169
     assert runs[1] == runs[0]
 
 

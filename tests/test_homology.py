@@ -447,16 +447,17 @@ def test_coordinate_checks_agree_with_the_tensor_group_route(p, groups,
 
 
 def test_be_sequence_rejects_an_image_outside_m(monkeypatch):
-    # hand be_sequence the cover of a maximal-class group of the same
-    # order: there a lift of G' does not commute with every lift, so some
-    # g-value has a nonzero exponent below M
-    groups = dict(sweep_universe(3))
-    P, Q = groups["order_p4_8"], groups["order_p4_12"]
-    assert (nilpotency_class(P), nilpotency_class(Q)) == (2, 3)
-    cover = stem_cover(Q)
-    monkeypatch.setattr(homology, "stem_cover", lambda _: cover)
+    # hand be_sequence a maximal-class group whose lower central series
+    # is cut to class 2: there G' is not central, so for some x in G' and
+    # some z the words xz and zx collect to different normal forms, and
+    # [x^, z^] has a nonzero exponent below M
+    Q = dict(sweep_universe(3))["order_p4_12"]
+    series = lower_central_series(Q)
+    assert len(series) - 1 == nilpotency_class(Q) == 3
+    monkeypatch.setattr(homology, "lower_central_series",
+                        lambda _: (series[0], series[1], series[-1]))
     with pytest.raises(AssertionError, match="image of g escapes M"):
-        be_sequence(P)
+        be_sequence(Q)
 
 
 # -- byte identity ----------------------------------------------------
