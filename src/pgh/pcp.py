@@ -224,6 +224,15 @@ class PcPresentation(metaclass=_SharedWithinBlock):
           words that collect to one normal form are joinable, and two
           distinct normal forms of one word refute consistency (Newman's
           lemma; Sims, Computation with Finitely Presented Groups, ch. 9).
+        - When g passes a run g_t^ct whose rule word w of [g_t, g] lies in
+          B, it queues g_t^ct and then w with every exponent times ct, in
+          place of ct copies of g_t w.  This is exact too: the letters of
+          B are central and this collector leaves them in place, so the
+          head letters g_1 ... g_c see the same sequence either way (a run
+          of g_t is taken one unit at a time whenever a rule fires), and
+          B's part is a sum in the abelian group A, which is ct times w
+          either way.  So a product no longer costs ct * |w| queue entries
+          per crossing, which made a large p quadratic.
         With `tails` every pair has a tail slot, rule or no rule, and the
         order of rule applications fixes V and so the stem cover: there B
         is walked one unit at a time.
@@ -263,7 +272,10 @@ class PcPresentation(metaclass=_SharedWithinBlock):
                             # [g_t, g] = w * t_(t,g), once per unit of g_t
                             tails[_tail_slot(n, t, g)] += ct
                         cw = comm.get((t, g))
-                        if cw:
+                        if cw and cw[0][0] >= top:
+                            pending.append((t, ct))
+                            pending.extend((h, f * ct) for h, f in cw)
+                        elif cw:
                             for _ in range(ct):
                                 pending.append((t, 1))
                                 pending.extend(cw)

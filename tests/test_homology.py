@@ -465,9 +465,12 @@ def test_be_sequence_rejects_an_image_outside_m(monkeypatch):
 # sha256 of the tails systems and stem covers below, recorded from the
 # Smith normal form over Z/p^(n+1), which gives other U and V than the
 # integer SNF did, so other covers; any change to the collector's order
-# of rule applications, to the SNF pivots or to its modulus moves it.
+# of rule applications, to the SNF pivots or to its modulus moves it.  It
+# read 6a901871caa0...2f8f34 while the SNF's pivot ties went to the first
+# row and the leftmost column; the fewest-nonzeros tie-breaks give other
+# U and V, so other covers, with the same diagonals.
 TAILS_AND_COVERS_SHA256 = (
-    "6a901871caa02a547fb3449726ae44d102c04a4212c20e0686bc1e50ce2f8f34")
+    "573d8bbea25a6586dd54f29b600bdb1a1b1f8afbeae8ee9c2557fe3b3d03ae7a")
 
 
 def _digest_groups():
@@ -501,9 +504,11 @@ def test_tails_systems_and_stem_covers_are_byte_identical():
 
 # sha256 of the tails systems of both stem covers of each group above and
 # of the shuffled-row cover of G4(3,3): a cover's central block is its
-# multiplier M, so these are the widest blocks a tails system meets here
+# multiplier M, so these are the widest blocks a tails system meets here.
+# It read 5421f3419f48...49fb0 before the fewest-nonzeros tie-breaks, which
+# change the covers and the V of each of their tails systems.
 COVER_TAILS_SHA256 = (
-    "5421f3419f4807d3a6bf521a2bff5a04aa1c081ecd97ca49d9ac801e4df49fb0")
+    "49020044580753070c7f879f7221417a1d86dd150a8ece87113eb54eff4579e5")
 
 
 def test_tails_systems_of_covers_are_byte_identical():

@@ -551,6 +551,69 @@ def test_collector_matches_the_reference_collector(data):
         assert tails == ref_tails
 
 
+@functools.cache
+def _large_p_covers():
+    """Stem covers at p = 5, 7 and 101, each with commutator rules whose
+    words lie in the central block M."""
+    return [stem_cover(G).E for G in (
+        catalog.extraspecial_e1(5), catalog.g5(5), catalog.g3(7),
+        catalog.g4(7, 2), catalog.g3(101), catalog.g1(101, 4))]
+
+
+def _draw_block_candidate(data):
+    """A random candidate at p = 5, 7 or 101 with central block
+    g_(c+1) ... g_n, c >= 2, and the rule [g_c, g_1] in it; most are
+    inconsistent."""
+    p = data.draw(st.sampled_from((5, 7, 101)))
+    n = data.draw(st.integers(3, 5))
+    c = data.draw(st.integers(2, n - 1))
+    exponent = st.one_of(st.just(0), st.integers(1, p - 1))
+
+    def word(low):
+        exps = data.draw(st.tuples(*[exponent] * (n - 1 - low)))
+        return tuple((g, e) for g, e in enumerate(exps, low + 1) if e)
+
+    power = [word(i) for i in range(n)]
+    comm = {(j, i): word(j) for j in range(1, c) for i in range(j)}
+    first = data.draw(st.integers(1, p - 1))
+    comm[(c - 1, 0)] = ((c, first),) + word(c)
+    return PcPresentation(p, n, power, comm, check_consistent=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_runs_past_central_rules_match_the_reference_collector(data):
+    # the untailed collector queues g_t^ct and ct times the rule word of
+    # [g_t, g] when that word lies in the central block, in place of ct
+    # copies of both; the reference queues the copies.  Exactness does not
+    # need consistency, so inconsistent candidates are drawn too.  The
+    # tailed collector walks the block and must match the reference
+    # application for application.  At p = 101 the head letters keep
+    # small exponents, since the reference's cost grows with their
+    # product; the block's letters and the rule words keep the full range,
+    # so ct times a rule exponent still passes p.
+    if data.draw(st.booleans()):
+        P = data.draw(st.sampled_from(_large_p_covers()))
+    else:
+        P = _draw_block_candidate(data)
+    p, c = P.p, P._central_start
+    assert any(w[0][0] >= c for w in P.comm.values())
+    head = min(p - 1, 8)
+    x = data.draw(st.tuples(*[st.integers(0, p - 1 if i >= c else head)
+                              for i in range(P.ngens)]))
+    exponent = (st.integers(-2 * p, 2 * p) if head == p - 1
+                else st.integers(0, 2 * head))
+    letter = st.tuples(st.integers(0, P.ngens - 1), exponent)
+    word = data.draw(st.lists(letter, max_size=8))
+    for tails in (None, [0] * _tail_count(P.ngens)):
+        vec, ref_vec = list(x), list(x)
+        ref_tails = None if tails is None else list(tails)
+        P._collect_into(vec, word, tails)
+        _reference_collect_into(P, ref_vec, word, ref_tails)
+        assert vec == ref_vec
+        assert tails == ref_tails
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_overlaps_match_the_reference_enumeration(data):

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgh.snf
+from pgh import catalog
+from pgh.homology import stem_cover, tails_system
 from pgh.snf import mat_mul, smith_normal_form
 
 
@@ -528,9 +530,11 @@ def test_self_check_multiplies_u_a_v_through_the_module(monkeypatch):
 
 # sha256 of (diagonal, U, V) of the seeded sparse matrices below, dense
 # so that the order of a dict's keys does not count; any change to the
-# pivot rule, its tie-breaks or the clearing quotients moves it.
+# pivot rule, its tie-breaks or the clearing quotients moves it.  It read
+# fb5993459a77...3fec71 while ties went to the first row and the leftmost
+# column; the fewest-nonzeros tie-breaks change U and V, not the diagonal.
 SEEDED_TRANSFORMS_SHA256 = (
-    "fb5993459a7755d87e83fa1069684370406a7b8a02d88528b3e75f8bfc3fec71")
+    "ef03683510aa720ef04641425de8f478c55135e50f6a07f59bd4209e6cc3cf6a")
 
 
 def _seeded_matrices(count=300):
@@ -554,6 +558,26 @@ def test_transforms_of_seeded_matrices_are_byte_identical():
                      densify(res.V, ncols, columns=True)):
             h.update(repr(part).encode())
     assert h.hexdigest() == SEEDED_TRANSFORMS_SHA256
+
+
+def test_row_operations_on_cover_tails_matrices():
+    # the logged row operations of the Smith forms of two stem covers'
+    # tails matrices, 354 x 120 and 700 x 210, which M(E) reduces.  Exact,
+    # as the collector gates are, so that a pivot rule that fills in more
+    # shows on any hardware.  They read 4,954 and 16,709 while pivot ties
+    # went to the first row and the leftmost column.  The diagonal is
+    # unique, so no pivot rule may move it.
+    for G, shape, ops, diagonal in (
+            (catalog.g4(3, 3), (354, 120), 1227, [1] * 102 + [9] + [27] * 2),
+            (catalog.g4(3, 4), (700, 210), 2982,
+             [1] * 187 + [27] + [81] * 2)):
+        E = stem_cover(G).E
+        ts = tails_system(E)
+        res = smith_normal_form(ts.relation_matrix, ncols=ts.tail_count,
+                                p=E.p, e=E.ngens + 1)
+        assert (res.diagonal, res.V) == (ts.diagonal, ts.V)
+        assert (len(ts.relation_matrix), ts.tail_count) == shape
+        assert (len(res._log), res.diagonal) == (ops, diagonal)
 
 
 # -- malformed input ----------------------------------------------------
