@@ -25,7 +25,7 @@ two algorithms on the two complements.  The exterior pairing a ^ b is
 import math
 
 from .homology import stem_cover, tail_images
-from .pcp import (AbelianSection, center, frattini_subgroup, log_p,
+from .pcp import (abelian_section, center, frattini_subgroup, log_p,
                   per_presentation, subgroup_closure)
 from .snf import smith_normal_form
 
@@ -34,13 +34,6 @@ def exterior_pair(P, a, b):
     """a ^ b as [a^, b^] in E of `stem_cover(P)`; it lies in E' = G ^ G."""
     cover = stem_cover(P)
     return cover.E.commutator(cover.lift(a), cover.lift(b))
-
-
-@per_presentation
-def center_section(P):
-    """Z(G) as an abelian section, stored on P: its representatives are
-    the z_j of both epicenter routes and of both variants."""
-    return AbelianSection(P, center(P))
 
 
 @per_presentation
@@ -81,7 +74,7 @@ def _kernel_on_center(P, divisors, coords):
     So the rows above span the kernel up to p^e * Z^k, and every o_j
     divides p^e, so z_j^(p^e) = 1 and those vectors give the identity.
     """
-    zsec = center_section(P)
+    zsec = abelian_section(P, center(P))
     zs = zsec.representatives()
     phi = set(frattini_subgroup(P).leading_indices())
     gs = [P.gen(i) for i in range(P.ngens) if i not in phi]

@@ -20,11 +20,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
 
-from .pcp import (AbelianSection, AbelianType, PcPresentation, Subgroup,
-                  _overlaps, _tail_count, _tail_slot, abelianization_type,
-                  center, derived_subgroup, full_subgroup, log_p,
-                  lower_central_series, per_presentation, structure_stats,
-                  subgroup_closure, trivial_subgroup)
+from .pcp import (AbelianType, PcPresentation, Subgroup, _overlaps,
+                  _tail_count, _tail_slot, abelian_section,
+                  abelianization_type, center, derived_subgroup, full_subgroup,
+                  log_p, lower_central_series, per_presentation,
+                  structure_stats, subgroup_closure, trivial_subgroup)
 from .snf import smith_normal_form
 
 
@@ -469,8 +469,8 @@ def be_sequence(P):
     images = tail_images(P)
     divisors = images.divisors
     derived = series[1]
-    sa = AbelianSection(P, derived)
-    sb = AbelianSection(P, full_subgroup(P), derived)
+    sa = abelian_section(P, derived)
+    sb = abelian_section(P, full_subgroup(P), derived)
 
     def g_coords(x, z):
         try:
@@ -524,11 +524,12 @@ def be_sequence(P):
 
 @per_presentation
 def central_quotient_section(P):
-    """(G/Z(G))^ab = G / G'Z(G) as an abelian section."""
+    """(G/Z(G))^ab = G / G'Z(G) as an abelian section; stored on P, so
+    G'Z(G) is closed once."""
     z = center(P)
     derived = derived_subgroup(P)
     gz = subgroup_closure(P, list(derived.basis) + list(z.basis))
-    return AbelianSection(P, full_subgroup(P), gz)
+    return abelian_section(P, full_subgroup(P), gz)
 
 
 def psi2_image(P):
@@ -537,8 +538,8 @@ def psi2_image(P):
     derived = series[1]
     gamma3 = series[2] if len(series) > 2 else trivial_subgroup(P)
     reps = central_quotient_section(P).representatives()
-    ta = AbelianSection(P, derived, gamma3)
-    tb = AbelianSection(P, full_subgroup(P), derived)
+    ta = abelian_section(P, derived, gamma3)
+    tb = abelian_section(P, full_subgroup(P), derived)
     r = range(len(reps))
     xy = {(a, b): ta.coords(P.commutator(reps[a], reps[b]))
           for a in r for b in r}
@@ -557,7 +558,7 @@ def psi3_image(P):
     gamma3 = series[2]
     gamma4 = series[3] if len(series) > 3 else trivial_subgroup(P)
     src = central_quotient_section(P)
-    ta = AbelianSection(P, gamma3, gamma4)
+    ta = abelian_section(P, gamma3, gamma4)
     reps = src.representatives()
     r = range(len(reps))
     xy = {(a, b): P.commutator(reps[a], reps[b]) for a in r for b in r}

@@ -894,9 +894,24 @@ class AbelianSection:
         return reps
 
 
+def abelian_section(P, N, M=None):
+    """N/M as an `AbelianSection`, built once and stored on P.
+
+    The entry is keyed by the bases of N and M, not by subgroup equality:
+    the representatives depend on N's basis, so a stored section is the
+    one the caller's subgroups would build.
+    """
+    return _section_on_bases(P, N.basis, () if M is None else M.basis)
+
+
+@per_presentation
+def _section_on_bases(P, n_basis=(), m_basis=()):
+    return AbelianSection(P, Subgroup(P, n_basis), Subgroup(P, m_basis))
+
+
 def abelian_invariants(P, N, M=None):
     """Elementary divisors of the abelian section N/M."""
-    return AbelianSection(P, N, M).type
+    return abelian_section(P, N, M).type
 
 
 @per_presentation

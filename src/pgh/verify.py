@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import catalog
 from .capability import is_capable
 from .homology import schur_multiplier
-from .pcp import (AbelianSection, _central_part, abelian_invariants,
+from .pcp import (_central_part, abelian_invariants, abelian_section,
                   abelianization_type, center, derived_subgroup,
                   full_subgroup, log_p, lower_central_series,
                   per_presentation, quotient, structure_stats,
@@ -246,7 +246,7 @@ def _central_derived_elementary_layer(P):
     """Omega_1(Z(G) & G'), the central elements of order <= p inside G':
     the closure of r^(d/p) over the invariant generators r of Z(G) & G',
     of orders d."""
-    section = AbelianSection(P, _central_part(P, derived_subgroup(P).basis))
+    section = abelian_section(P, _central_part(P, derived_subgroup(P).basis))
     return subgroup_closure(P, [P.pow(r, d // P.p) for r, d in
                                 zip(section.representatives(), section.divisors)])
 

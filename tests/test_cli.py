@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pgh
 from pgh import catalog, cli
-from pgh.pcp import PcPresentation
+from pgh.pcp import AbelianSection, PcPresentation
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -299,8 +299,32 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
     # tails, two tailed collections each, in place of building the
     # variant-0 cover and collecting in it (3,550 fewer untailed and 2,328
     # more tailed calls), and the variants share one Z(G) section (66 fewer)
-    assert count == 20169
+    # 18,647 since every section is stored on P by its bases, so no section
+    # is built, and no representative or coordinate is collected, twice.
+    assert count == 18647
     assert runs[1] == runs[0]
+
+
+def test_verify_builds_each_abelian_section_once(monkeypatch):
+    # A section is stored on P under the bases of N and M, so a run builds
+    # one per distinct (P, N basis, M basis).  The presentations are kept
+    # alive so that no id is reused within the count.
+    builds = []
+    init = AbelianSection.__init__
+
+    def counting(self, P, N, M=None):
+        builds.append((P, N.basis, () if M is None else M.basis))
+        return init(self, P, N, M)
+
+    monkeypatch.setattr(AbelianSection, "__init__", counting)
+    for p in ("2", "3", "5"):
+        code, out = run_cli("verify", "--suite", "all", "--p", p, "--deep",
+                            "--format", "json")
+        assert code == 0 and json.loads(out)["failed"] == 0
+    keys = {(id(P), n, m) for P, n, m in builds}
+    assert len(keys) == len(builds)
+    # 266 before the sections were stored on P
+    assert len(builds) == 120
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,8 +11,9 @@ import pytest
 
 from pgh import catalog, pcp, verify
 from pgh.homology import stem_cover, tails_system
-from pgh.pcp import (PcPresentation, center, derived_subgroup,
-                     frattini_subgroup, lower_central_series,
+from pgh.pcp import (PcPresentation, Subgroup, abelian_invariants,
+                     abelian_section, center, derived_subgroup,
+                     frattini_subgroup, full_subgroup, lower_central_series,
                      per_presentation, shared_presentations, structure_stats)
 
 MEMOIZED = (derived_subgroup, lower_central_series, frattini_subgroup,
@@ -73,6 +74,34 @@ def test_stem_cover_default_variant_shares_one_entry():
     assert stem_cover(P, variant=1) is not stem_cover(P)
 
 
+def test_abelian_section_is_stored_by_the_bases_of_n_and_m():
+    P = catalog.g4(3, 2)
+    G, D = full_subgroup(P), derived_subgroup(P)
+    section = abelian_section(P, G, D)
+    assert abelian_section(P, Subgroup(P, G.basis), Subgroup(P, D.basis)) \
+        is section
+    F = frattini_subgroup(P)
+    assert F.basis != D.basis
+    assert abelian_section(P, G, F) is not section
+    assert abelian_section(P, D, None) is abelian_section(P, D)
+    # an equal N with another basis has other representatives
+    other = Subgroup(P, (P.mult(G.basis[0], G.basis[1]),) + G.basis[1:])
+    assert other == G and other.basis != G.basis
+    assert abelian_section(P, other, D) is not section
+    assert abelian_section(P, other, D).type == section.type
+
+
+def test_abelian_invariants_read_the_stored_section():
+    P = catalog.g4(3, 2)
+    z = center(P)
+    with mock.patch.object(pcp, "AbelianSection",
+                           wraps=pcp.AbelianSection) as build:
+        t = abelian_invariants(P, z)
+        assert abelian_invariants(P, z) == t
+        assert abelian_section(P, z).type == t
+        assert build.call_count == 1
+
+
 def test_lower_central_series_is_a_tuple():
     series = lower_central_series(catalog.g6())
     assert isinstance(series, tuple)
@@ -95,7 +124,8 @@ def test_fresh_presentation_gives_equal_invariants():
 def test_stored_invariants_die_with_the_presentation():
     P = catalog.g2(3, 2)
     refs = [weakref.ref(P), weakref.ref(verify.report(P)),
-            weakref.ref(stem_cover(P)), weakref.ref(center(P))]
+            weakref.ref(stem_cover(P)), weakref.ref(center(P)),
+            weakref.ref(abelian_section(P, center(P)))]
     del P
     gc.collect()
     assert all(ref() is None for ref in refs)
@@ -104,9 +134,11 @@ def test_stored_invariants_die_with_the_presentation():
 def test_presentation_with_stored_invariants_pickles():
     P = catalog.g5(3)
     rep = verify.report(P)
+    reps = abelian_section(P, center(P)).representatives()
     Q = pickle.loads(pickle.dumps(P))
     assert verify.report(Q) == rep
     assert verify.report(_fresh(Q)) == rep
+    assert abelian_section(Q, center(Q)).representatives() == reps
 
 
 # -- equal presentations shared within a block ---------------------------

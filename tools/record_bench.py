@@ -10,9 +10,11 @@ checkout, alternating which one runs first, and appends one record per run
 (checkout, workload, seed, trace, position in the pair and the result line)
 to the JSON list in --out, which is rewritten after every run.  At the end
 it prints, per workload and per end-to-end metric of BENCHMARK.json
-(wall_s, setup_s, peak_rss_mib), the median of each checkout over this
-run's seeds and in how many pairs each later checkout beat the first one,
-then the number of failed operations of each checkout.
+(wall_s, setup_s, peak_rss_mib), the median and interquartile range of
+each checkout over this run's seeds and in how many pairs each later
+checkout beat the first one, then the number of failed operations of each
+checkout.  A difference of medians within the first checkout's
+interquartile range reads as level or unresolved.
 """
 
 import argparse
@@ -36,11 +38,19 @@ def run(checkout, workload, seed, seconds, trace):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def iqr(values):
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def summarize(records, names):
-    """Print, per workload, the median of each end-to-end metric of
-    BENCHMARK.json for each checkout, the pairs (runs with the same seed)
-    each later checkout won on it against names[0], and the sum of `failed`
-    per checkout."""
+    """Print, per workload, the median and the interquartile range (the
+    distance between the inclusive quartiles; 0 for a single run) of each
+    end-to-end metric of BENCHMARK.json for each checkout, the pairs (runs
+    with the same seed) each later checkout won on it against names[0],
+    and the sum of `failed` per checkout."""
     by_workload = {}
     for r in records:
         by_workload.setdefault(r["workload"], []).append(r)
@@ -54,7 +64,8 @@ def summarize(records, names):
             line = [f"{workload}: median {metric['name']}"]
             for name in names:
                 if name in values:
-                    line.append(f"{name} {statistics.median(values[name].values()):.3f}")
+                    line.append(f"{name} {statistics.median(values[name].values()):.3f}"
+                                f" iqr {iqr(list(values[name].values())):.3g}")
             base = values.get(names[0], {})
             lower = metric["better"] == "lower"
             for name in names[1:]:
