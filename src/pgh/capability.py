@@ -25,7 +25,7 @@ two algorithms on the two complements.  The exterior pairing a ^ b is
 import math
 
 from .homology import stem_cover, tail_images
-from .pcp import (abelian_section, center, frattini_subgroup, log_p,
+from .pcp import (_burnside_basis, abelian_section, center, log_p,
                   per_presentation, subgroup_closure)
 from .snf import smith_normal_form
 
@@ -61,8 +61,8 @@ def _kernel_on_center(P, divisors, coords):
     """The kernel of z -> (coords(z, g_i))_i on Z(G), for the coordinates
     {k: c} of [z^, g_i^] in M = (+) C_d, d over `divisors`.
 
-    The z_j generate Z(G), one per invariant factor; the g_i are a
-    Burnside basis (the pc generators outside the Frattini subgroup).
+    The z_j generate Z(G), one per invariant factor; the g_i are the
+    Burnside basis `_burnside_basis(P)`, which generates G.
     Row j of A holds the coordinates of [z_j^, g_i^], scaled to the
     modulus N = exp M; with U*A*V = D, the kernel mod N is spanned by the
     rows (N / gcd(N, d_i)) * U_i, where d_i = 0 past the rank.
@@ -76,8 +76,7 @@ def _kernel_on_center(P, divisors, coords):
     """
     zsec = abelian_section(P, center(P))
     zs = zsec.representatives()
-    phi = set(frattini_subgroup(P).leading_indices())
-    gs = [P.gen(i) for i in range(P.ngens) if i not in phi]
+    gs = _burnside_basis(P)
     N = max(divisors, default=1)
     w = len(divisors)
     rows = []

@@ -480,6 +480,17 @@ def _object_field(doc, key):
     return value
 
 
+def _index_key(key, field, ngens):
+    """The 0-based index of the 1-based generator key of `field`."""
+    try:
+        i = int(key) - 1
+    except ValueError:
+        raise PresentationFormatError(f"{field} key {key!r} is not an index")
+    if not (0 <= i < ngens):
+        raise PresentationFormatError(f"{field} key {key!r} out of range")
+    return i
+
+
 def parse(text):
     """Parse the JSON presentation format (or family shorthand)."""
     try:
@@ -509,13 +520,8 @@ def parse(text):
             f"ngens {ngens} is more than the limit of {MAX_GENERATORS}")
     power = [()] * ngens
     for key, raw in _object_field(doc, "power").items():
-        try:
-            i = int(key) - 1
-        except ValueError:
-            raise PresentationFormatError(f"power key {key!r} is not an index")
-        if not (0 <= i < ngens):
-            raise PresentationFormatError(f"power key {key!r} out of range")
-        power[i] = _parse_word(raw, f"power[{key}]")
+        power[_index_key(key, "power", ngens)] = _parse_word(
+            raw, f"power[{key}]")
     comm = {}
     for key, raw in _object_field(doc, "comm").items():
         try:
@@ -527,13 +533,7 @@ def parse(text):
         comm[(j, i)] = _parse_word(raw, f"comm[{key}]")
     labels = {}
     for key, lab in _object_field(doc, "labels").items():
-        try:
-            i = int(key) - 1
-        except ValueError:
-            raise PresentationFormatError(f"labels key {key!r} is not an index")
-        if not (0 <= i < ngens):
-            raise PresentationFormatError(f"labels key {key!r} out of range")
-        labels[i] = str(lab)
+        labels[_index_key(key, "labels", ngens)] = str(lab)
     try:
         return PcPresentation(p, ngens, power, comm, labels)
     except ValueError as exc:

@@ -316,7 +316,7 @@ def cmd_verify(args, out):
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["name", "pass", "detail"])
         for n, ok, d in rows:
-            writer.writerow([n, "true" if ok else "false", d])
+            writer.writerow([n, _csv_cell(ok), d])
     else:
         for n, ok, d in rows:
             status = "PASS" if ok else "FAIL"
@@ -335,20 +335,15 @@ def build_parser():
         description="finite p-group multiplier and capability toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("group", help="construct and describe a group")
-    _add_spec_args(sub)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_group)
-
-    sub = subs.add_parser("multiplier", help="compute the Schur multiplier")
-    _add_spec_args(sub)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_multiplier)
-
-    sub = subs.add_parser("capable", help="decide capability via the epicenter")
-    _add_spec_args(sub)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_capable)
+    # local, so that no module-level container holds the cmd_* functions
+    for name, fn, help_text in (
+            ("group", cmd_group, "construct and describe a group"),
+            ("multiplier", cmd_multiplier, "compute the Schur multiplier"),
+            ("capable", cmd_capable, "decide capability via the epicenter")):
+        sub = subs.add_parser(name, help=help_text)
+        _add_spec_args(sub)
+        _add_common(sub)
+        sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("bounds", help="multiplier bound exponents")
     sub.add_argument("--n", type=int, required=True)

@@ -273,9 +273,6 @@ class StemCover:
         self.M = M
         self.chains = chains
         self.divisors = divisors
-        # (chain, p^i) of each generator of M, laid out chain after chain
-        self._places = [(c, E.p ** i) for c, chain in enumerate(chains)
-                        for i in range(len(chain))]
 
     def project(self, x):
         return tuple(x[:self.base.ngens])
@@ -285,14 +282,11 @@ class StemCover:
 
     def multiplier_coords(self, x):
         """Coordinates of x in M: sum_i x[chain[i]] p^i for each chain."""
-        n = self.base.ngens
-        if any(x[:n]):
+        if any(x[:self.base.ngens]):
             raise ValueError("element is not in the multiplier M")
-        coords = [0] * len(self.chains)
-        for (c, q), e in zip(self._places, x[n:]):
-            if e:
-                coords[c] += e * q
-        return tuple(coords)
+        p = self.E.p
+        return tuple(sum(x[g] * p ** i for i, g in enumerate(chain))
+                     for chain in self.chains)
 
 
 def _base_p_word(value, chain, p):

@@ -516,7 +516,7 @@ def per_presentation(fn):
     return memoized
 
 
-def trivial_group(p=3):
+def trivial_group(p):
     return PcPresentation(p, 0)
 
 
@@ -720,6 +720,14 @@ def frattini_subgroup(P):
     return subgroup_closure(P, gens, normal=True)
 
 
+def _burnside_basis(P):
+    """The pc generators outside Phi(G), those whose index is not a
+    leading index of Phi(G): their images are a basis of G/Phi(G), so by
+    the Burnside basis theorem they generate G."""
+    phi = set(frattini_subgroup(P).leading_indices())
+    return [P.gen(i) for i in range(P.ngens) if i not in phi]
+
+
 def nilpotency_class(P):
     if P.ngens == 0:
         return 0
@@ -755,8 +763,7 @@ def _central_part(P, basis):
     """
     p = P.p
     identity = P.identity()
-    phi = set(frattini_subgroup(P).leading_indices())
-    gens = [P.gen(i) for i in range(P.ngens) if i not in phi]
+    gens = _burnside_basis(P)
     current = [(b, [P.commutator(b, g) for g in gens]) for b in basis]
     for k in range(P.ngens):
         pivots = []     # (column, row, element whose image is row, 1/row[column])

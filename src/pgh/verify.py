@@ -15,10 +15,9 @@ from . import catalog
 from .capability import is_capable
 from .homology import schur_multiplier
 from .pcp import (_central_part, abelian_invariants, abelian_section,
-                  abelianization_type, center, derived_subgroup,
-                  full_subgroup, log_p, lower_central_series,
-                  per_presentation, quotient, structure_stats,
-                  subgroup_closure)
+                  center, derived_subgroup, full_subgroup, log_p,
+                  lower_central_series, per_presentation, quotient,
+                  structure_stats, subgroup_closure)
 
 
 def _doubled(n, k, d):
@@ -205,13 +204,12 @@ def check_attainer_conditions(P):
         f"d = {rep.d}, G/G' = {rep.quotient_type}")
 
     if cls == 2:
-        z = center(P)
-        gq = abelian_invariants(P, full_subgroup(P), z)
+        gq = abelian_invariants(P, full_subgroup(P), center(P))
         dtype = abelian_invariants(P, derived_subgroup(P))
         add("center_quotient_exponent", True, gq.exponent == dtype.exponent,
             f"e(G/Z) = {gq.exponent}, e(G') = {dtype.exponent}")
-        # d(G/Z) = rank of (G/Z)/(G/Z)' (Burnside basis theorem)
-        dq = abelianization_type(quotient(P, z)).rank
+        # G' <= Z in class 2, so G/Z is abelian and d(G/Z) is its rank
+        dq = gq.rank
         add("derived_rank_bound", True,
             dtype.rank <= dq * (dq - 1) // 2,
             f"d(G') = {dtype.rank}, d(G/Z) = {dq}")

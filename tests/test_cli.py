@@ -301,7 +301,9 @@ def test_verify_collector_work_is_pinned_and_not_reused_across_runs(
     # more tailed calls), and the variants share one Z(G) section (66 fewer)
     # 18,647 since every section is stored on P by its bases, so no section
     # is built, and no representative or coordinate is collected, twice.
-    assert count == 18647
+    # 18,304 since d(G/Z) in class 2 is the rank of the stored G/Z section,
+    # so no quotient presentation G/Z is built and checked for it.
+    assert count == 18304
     assert runs[1] == runs[0]
 
 

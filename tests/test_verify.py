@@ -9,8 +9,9 @@ import pytest
 
 from pgh import catalog, homology, verify
 from pgh.cli import _catalog_groups
-from pgh.pcp import (abelianization_type, center, derived_subgroup,
-                     frattini_subgroup, quotient, subgroup_closure)
+from pgh.pcp import (PcPresentation, abelianization_type, center,
+                     derived_subgroup, frattini_subgroup, quotient,
+                     subgroup_closure)
 from test_pcp import _scrambled
 
 
@@ -165,6 +166,31 @@ def test_conditions_inapplicable_pass():
     checks = verify.check_attainer_conditions(catalog.quaternion8())
     for c in checks:
         assert c.passed
+
+
+def test_attainer_conditions_build_no_presentation(monkeypatch):
+    # G' <= Z(G) in class 2, so d(G/Z) is read off the stored G/Z section;
+    # no presentation of G/Z is built for it
+    groups = [catalog.extraspecial_e1(3), catalog.g2(3, 2), catalog.g3(3),
+              catalog.g5(3), catalog.dihedral8()]
+    for P in groups:
+        assert verify.report(P).nilpotency_class == 2
+    built = [0]
+    init = PcPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PcPresentation, "__init__", counting)
+    checks = [{c.name: c for c in verify.check_attainer_conditions(P)}
+              for P in groups]
+    monkeypatch.undo()
+    assert built == [0]
+    for P, by_name in zip(groups, checks):
+        dq = abelianization_type(quotient(P, center(P))).rank
+        assert by_name["derived_rank_bound"].detail == (
+            f"d(G') = {len(derived_subgroup(P).basis)}, d(G/Z) = {dq}")
 
 
 def _attainer_families(p):
