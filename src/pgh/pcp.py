@@ -153,6 +153,8 @@ class PcPresentation(metaclass=_SharedWithinBlock):
         self.p = p
         self.ngens = ngens
         power = list(power or [])
+        if len(power) > ngens:
+            raise ValueError(f"{len(power)} power words for {ngens} generators")
         while len(power) < ngens:
             power.append(())
         self.power = tuple(tuple(w) for w in power)
@@ -398,8 +400,28 @@ class PcPresentation(metaclass=_SharedWithinBlock):
             of the three words (`mult` adds the right factor's B part as
             a normal form, the same element of A), and by (b) that sum
             does not depend on the order of the additions.
+        (e) The power_self test g_i (g_i^p) = (g_i^p) g_i runs here, one
+            collection each, in `_overlaps`'s order.  Collecting g_i^p
+            from the identity applies the power rule of g_i once; its word
+            w_i is a normal form, so its letters are then placed in turn
+            with no further rule, and the result is w_i's vector.  Every
+            letter of w_i lies right of g_i and no exponent reaches p, so
+            g_i w_i applies no rule and is e_i + w_i.
+            The right side is the one collection of g_i into w_i's vector,
+            as before, so each verdict is unchanged; an empty w_i gives g_i
+            on both sides and is not collected.
         """
         c = self._central_start
+        for i in range(c):
+            if self.power[i]:
+                vec = [0] * self.ngens
+                for g, e in self.power[i]:
+                    vec[g] = e
+                lhs = vec[:]
+                lhs[i] = 1
+                self._collect_into(vec, ((i, 1),))
+                if vec != lhs:
+                    return False
         gens = [self.gen(i) for i in range(c)]
         return all(lhs == rhs for _, lhs, rhs in
                    _overlaps(self.p, gens, self.mult, self.collect, self.comm))
@@ -430,12 +452,14 @@ def _overlaps(p, gens, mult, collect, comm=None):
     g_j g_i (j > i), g_i^p and g_i^(p-1) are collected once, on first use,
     so a check that stops at a failing test pays for no later one.
 
-    Given the commutator rules `comm`, the assoc block leaves out each test
-    (k, j, i) whose rules [g_k, g_j], [g_k, g_i] and [g_j, g_i] have words
-    in the generators from index n on: such a test holds in the untailed
-    arithmetic (part (d) of `PcPresentation.is_consistent`, the one caller
-    that passes `comm`).  `tails_system` walks those letters one unit at a
-    time and needs the rows, and `consistency_checks` lists every test.
+    Given the commutator rules `comm`, the power_self block is left out,
+    since `PcPresentation.is_consistent`, the one caller that passes `comm`,
+    runs it with one collection per test (part (e) of its lemma), and the
+    assoc block leaves out each test (k, j, i) whose rules [g_k, g_j],
+    [g_k, g_i] and [g_j, g_i] have words in the generators from index n
+    on: such a test holds in the untailed arithmetic (part (d)).
+    `tails_system` walks those letters one unit at a time and needs the
+    rows, and `consistency_checks` lists every test.
     """
     n = len(gens)
     memo = {}
@@ -445,7 +469,7 @@ def _overlaps(p, gens, mult, collect, comm=None):
             memo[letters] = collect(letters)
         return memo[letters]
 
-    for i in range(n):
+    for i in range(n if comm is None else 0):
         yield (("power_self", i), mult(gens[i], word((i, p))),
                mult(word((i, p)), gens[i]))
     for j in range(1, n):

@@ -93,6 +93,16 @@ def test_inconsistent_presentation_rejected():
         PcPresentation(3, 2, [((1, 1),), ()], {(1, 0): ((1, 1),)})
 
 
+def test_more_power_words_than_generators_rejected():
+    # an extra empty word would give an equal group another content key,
+    # so a shared_presentations() block would keep the two apart
+    for extra in ((), ((1, 1),)):
+        with pytest.raises(ValueError, match="3 power words for 2 generators"):
+            PcPresentation(3, 2, [(), (), extra])
+    assert PcPresentation(3, 2, [(), ()])._content_key() == PcPresentation(
+        3, 2)._content_key()
+
+
 def test_consistency_checks_cover_trivial_group():
     P = catalog.extraspecial_e1(5)
     for tag, lhs, rhs in P.consistency_checks():
@@ -688,14 +698,17 @@ def _collector_calls(P, run):
 def test_consistency_collector_call_counts():
     # Exact counts on fresh presentations, so that a silent drop, which
     # could mean a skipped overlap, fails too.  A change that moves a count
-    # updates it here and says why in CHANGES.md.
+    # updates it here and says why in CHANGES.md.  The next three read 194,
+    # 284 and 119 while a power_self test collected g_i^p and g_i w_i as
+    # well as w_i g_i; it collects only w_i g_i now, and nothing when w_i
+    # is empty (part (e) of the lemma in is_consistent)
     assert sum(_collector_calls(P, PcPresentation.is_consistent)
-               for P in catalog.small_group_table(3, 4)) == 194
+               for P in catalog.small_group_table(3, 4)) == 154
     # is_consistent skips the assoc tests whose three rule words lie in the
     # central block: the next two read 384 and 139 before it did
     E = stem_cover(catalog.g4(3, 3)).E
-    assert _collector_calls(E, PcPresentation.is_consistent) == 284
-    assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 119
+    assert _collector_calls(E, PcPresentation.is_consistent) == 272
+    assert _collector_calls(catalog.g6(), PcPresentation.is_consistent) == 107
     # tails_system collects only the tests among g_1 ... g_c and reads
     # the rows of the others off the rule words: these read 210, 390, 180
     # and 1,200 while it collected every test but the assoc tests of two
@@ -720,8 +733,9 @@ def test_cold_stem_cover_collector_calls():
     # 1,128 while tails_system collected every test but the assoc tests of
     # two central letters; 959 since it collects only those among
     # g_1 ... g_c; 799 since E's check skips the assoc tests whose three
-    # rule words lie in M
-    assert calls.call_count == 799
+    # rule words lie in M; 778 since a power_self test collects only
+    # w_i g_i, and nothing for an empty w_i
+    assert calls.call_count == 778
 
 
 def test_abelianization_type_matches_the_closure_route():
@@ -772,9 +786,44 @@ def test_rejection_collector_call_counts():
     # power test: a count that grows means the check reaches the cubic
     # assoc block before the power tests again.  Order 16 read 8,448 before
     # is_consistent skipped the assoc tests of three central rule words.
-    for (p, n), calls in {(2, 4): 8320, (5, 3): 2500}.items():
+    # 8,320 and 2,500 before a power_self test collected only w_i g_i, and
+    # nothing for an empty w_i: a candidate that fails power_self(g_1) now
+    # costs one call in place of three and the overlap set-up.
+    for (p, n), calls in {(2, 4): 5400, (5, 3): 1460}.items():
         assert sum(_collector_calls(P, PcPresentation.is_consistent)
                    for P in _candidates(p, n)) == calls
+
+
+def test_a_failed_power_self_test_costs_one_collection():
+    # g_1^2 = g_2 and [g_2, g_1] = g_3, so g_1 does not commute with g_1^2:
+    # the check stops at the first test, after collecting g_1 into g_1^2
+    P = PcPresentation(2, 3, [((1, 1),)], {(1, 0): ((2, 1),)},
+                       check_consistent=False)
+    assert next(tag for tag, lhs, rhs in P.consistency_checks()
+                if lhs != rhs) == ("power_self", 0)
+    words = _record_collector(P)
+    with mock.patch.object(pcp, "_overlaps", wraps=pcp._overlaps) as overlaps:
+        assert not P.is_consistent()
+    assert words == [[(0, 1)]]
+    assert not overlaps.called
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_power_self_block_matches_the_full_check_at_large_p(data):
+    # part (e) of the lemma in is_consistent: g_i^p collects to w_i's vector
+    # and g_i w_i to e_i + w_i, so the one collection w_i g_i decides the
+    # test; the verdict is that of every test in consistency_checks()
+    P = _draw_block_candidate(data)
+    for i in range(P._central_start):
+        w = [0] * P.ngens
+        for g, e in P.power[i]:
+            w[g] = e
+        power = P.collect(((i, P.p),))
+        assert power == tuple(w)
+        w[i] = 1
+        assert P.mult(P.gen(i), power) == tuple(w)
+    assert P.is_consistent() == _full_check(P)
 
 
 def _overlap_generators(P):

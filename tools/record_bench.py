@@ -11,10 +11,11 @@ checkout, alternating which one runs first, and appends one record per run
 to the JSON list in --out, which is rewritten after every run.  At the end
 it prints, per workload and per end-to-end metric of BENCHMARK.json
 (wall_s, setup_s, peak_rss_mib), the median and interquartile range of
-each checkout over this run's seeds and in how many pairs each later
-checkout beat the first one, then the number of failed operations of each
-checkout.  A difference of medians within the first checkout's
-interquartile range reads as level or unresolved.
+each checkout over this run's seeds, each later checkout's median as a
+ratio of the first one's (such as `change/parent 0.877`) and in how many
+pairs each later checkout beat the first one, then the number of failed
+operations of each checkout.  A difference of medians within the first
+checkout's interquartile range reads as level or unresolved.
 """
 
 import argparse
@@ -48,9 +49,10 @@ def iqr(values):
 def summarize(records, names):
     """Print, per workload, the median and the interquartile range (the
     distance between the inclusive quartiles; 0 for a single run) of each
-    end-to-end metric of BENCHMARK.json for each checkout, the pairs (runs
-    with the same seed) each later checkout won on it against names[0],
-    and the sum of `failed` per checkout."""
+    end-to-end metric of BENCHMARK.json for each checkout, each later
+    checkout's median over names[0]'s, the pairs (runs with the same seed)
+    each later checkout won on it against names[0], and the sum of
+    `failed` per checkout."""
     by_workload = {}
     for r in records:
         by_workload.setdefault(r["workload"], []).append(r)
@@ -61,14 +63,18 @@ def summarize(records, names):
                 m = r["result"]["metrics"].get(metric["name"])
                 if m is not None:
                     values.setdefault(r["checkout"], {})[r["seed"]] = m["value"]
+            medians = {name: statistics.median(values[name].values())
+                       for name in names if name in values}
             line = [f"{workload}: median {metric['name']}"]
-            for name in names:
-                if name in values:
-                    line.append(f"{name} {statistics.median(values[name].values()):.3f}"
-                                f" iqr {iqr(list(values[name].values())):.3g}")
+            for name, median in medians.items():
+                line.append(f"{name} {median:.3f}"
+                            f" iqr {iqr(list(values[name].values())):.3g}")
             base = values.get(names[0], {})
             lower = metric["better"] == "lower"
             for name in names[1:]:
+                if medians.get(names[0]) and name in medians:
+                    line.append(f"{name}/{names[0]} "
+                                f"{medians[name] / medians[names[0]]:.3f}")
                 seeds = base.keys() & values.get(name, {}).keys()
                 won = sum(values[name][s] < base[s] if lower
                           else values[name][s] > base[s] for s in seeds)
